@@ -66,8 +66,9 @@ void BM_StrategyAblation(benchmark::State& state) {
   state.counters["answers"] = static_cast<double>(result.answers.size());
   state.counters["stored_tuples"] =
       static_cast<double>(result.counters.stored_tuples);
+  // Logical tuple messages: answer rows carried inside segments.
   state.counters["tuple_msgs"] =
-      static_cast<double>(result.message_stats.Count(MessageKind::kTuple));
+      static_cast<double>(result.message_stats.segment_rows);
 }
 BENCHMARK(BM_StrategyAblation)->DenseRange(0, 4);
 

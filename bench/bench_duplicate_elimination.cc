@@ -93,9 +93,10 @@ BENCHMARK(BM_DedupNonlinearVsLinear)
 
 // Segmented vs per-tuple wire on the same dedup-bound workload
 // (nonlinear TC on a cycle — multi-row answer runs, so segments
-// actually fill). arg1 == 1 evaluates with columnar TupleSegment
-// messages (the default), arg1 == 0 forces the legacy one-envelope-
-// per-tuple wire. The time ratio is the end-to-end win of segmenting.
+// actually fill). arg1 == 1 evaluates at the default row cap, arg1 ==
+// 0 at the per-tuple wire's degenerate cap (segment_max_rows = 1,
+// growth off: one row per segment). The time ratio is the end-to-end
+// win of multi-row segments.
 void BM_DedupSegmentedVsPerTuple(benchmark::State& state) {
   int64_t n = state.range(0);
   bool segmented = state.range(1) == 1;
@@ -106,7 +107,10 @@ void BM_DedupSegmentedVsPerTuple(benchmark::State& state) {
     Program program;
     MPQE_CHECK(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
     EvaluationOptions options;
-    options.segment_messages = segmented;
+    if (!segmented) {
+      options.segment_max_rows = 1;
+      options.segment_max_rows_limit = 0;
+    }
     auto r = Evaluate(program, db, options);
     MPQE_CHECK(r.ok());
     result = *std::move(r);

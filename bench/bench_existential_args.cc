@@ -43,8 +43,9 @@ void RunFanOut(benchmark::State& state, const char* strategy) {
   }
   MPQE_CHECK(result.answers.size() == static_cast<size_t>(xs));
   state.counters["fan_out"] = static_cast<double>(fan);
+  // Logical tuple messages: answer rows carried inside segments.
   state.counters["tuple_msgs"] =
-      static_cast<double>(result.message_stats.Count(MessageKind::kTuple));
+      static_cast<double>(result.message_stats.segment_rows);
   state.counters["facts"] = static_cast<double>(xs * fan);
 }
 
@@ -81,8 +82,9 @@ void RunPipelined(benchmark::State& state, const char* strategy) {
     MPQE_CHECK(r.ok()) << r.status();
     result = *std::move(r);
   }
+  // Logical tuple messages: answer rows carried inside segments.
   state.counters["tuple_msgs"] =
-      static_cast<double>(result.message_stats.Count(MessageKind::kTuple));
+      static_cast<double>(result.message_stats.segment_rows);
   state.counters["contexts"] = static_cast<double>(result.counters.contexts);
 }
 

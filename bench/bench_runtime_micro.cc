@@ -21,13 +21,17 @@
 namespace mpqe {
 namespace {
 
-// Ping-pong process: forwards a hop-counting tuple to a peer.
+// A payload-free hop message: the hop counter rides in the binding
+// (as in the BM_SegmentHop* benches below).
+Message Hop(int64_t hops) { return MakeTupleRequest({Value::Int(hops)}); }
+
+// Ping-pong process: forwards a hop-counting message to a peer.
 class PingPong : public Process {
  public:
   explicit PingPong(ProcessId peer) : peer_(peer) {}
   void OnMessage(const Message& m) override {
-    int64_t hops = m.values[0].payload();
-    if (hops > 0) Send(peer_, MakeTuple({}, {Value::Int(hops - 1)}));
+    int64_t hops = m.binding[0].payload();
+    if (hops > 0) Send(peer_, Hop(hops - 1));
   }
 
  private:
@@ -41,7 +45,7 @@ void BM_MessageHopDeterministic(benchmark::State& state) {
     net.AddProcess(std::make_unique<PingPong>(1));
     net.AddProcess(std::make_unique<PingPong>(0));
     net.Start();
-    net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(kHops)}));
+    net.Send(kNoProcess, 0, Hop(kHops));
     auto run = net.RunDeterministic();
     MPQE_CHECK(run.ok() && run->quiescent);
   }
@@ -57,7 +61,7 @@ void BM_MessageHopThreaded(benchmark::State& state) {
     net.AddProcess(std::make_unique<PingPong>(1));
     net.AddProcess(std::make_unique<PingPong>(0));
     net.Start();
-    net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(kHops)}));
+    net.Send(kNoProcess, 0, Hop(kHops));
     auto run = net.RunThreaded(workers);
     MPQE_CHECK(run.ok() && run->quiescent);
   }
@@ -80,7 +84,7 @@ void BM_MessageHopProfiled(benchmark::State& state) {
     net.AddProcess(std::make_unique<PingPong>(0));
     net.AddObserver(&profiler);
     net.Start();
-    net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(kHops)}));
+    net.Send(kNoProcess, 0, Hop(kHops));
     auto run = net.RunDeterministic();
     MPQE_CHECK(run.ok() && run->quiescent);
     ProfileReport report = profiler.Finalize();
@@ -92,14 +96,25 @@ void BM_MessageHopProfiled(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageHopProfiled);
 
-// Ping-pong with full lineage recording: each hop's tuple is inserted
-// into a lineage-enabled relation, gets a fresh id, and publishes a
-// derivation record chaining to the previous hop — the engine's exact
-// per-derivation sequence (InsertRow + OnDerive + lineage stamp).
-// BM_MessageHopDeterministic is the lineage-off baseline; the off-path
-// must stay within noise of it (a null-pointer branch per insert),
-// while this run's per-hop cost is the tracked lineage-on overhead in
-// BENCH_obs.json.
+// The per-tuple wire's answer message: a 1-row segment whose binding
+// carries the hop counter and whose row is the hop's tuple, with the
+// producer's lineage id in the lineage column (none on the seed).
+Message OneRowSegment(int64_t hops, uint64_t lineage_id) {
+  auto segment = std::make_shared<TupleSegment>();
+  segment->binding = Tuple{Value::Int(hops)};
+  segment->arity = 1;
+  segment->AppendRow(segment->binding);
+  if (lineage_id != kNoLineage) segment->lineage.push_back(lineage_id);
+  return MakeTupleSegment(std::move(segment));
+}
+
+// Ping-pong over 1-row segments with full lineage recording: each
+// hop's tuple is inserted into a lineage-enabled relation, gets a
+// fresh id, and publishes a derivation record chaining to the previous
+// hop — the engine's per-derivation sequence at segment cap 1
+// (InsertRow + OnDerive + lineage column). BM_MessageHopDeterministic
+// is the payload-free lineage-off hop; this run's per-hop cost is the
+// informational per-tuple lineage-on figure in BENCH_obs.json.
 class PingPongLineage : public Process {
  public:
   PingPongLineage(ProcessId peer, TupleIdAllocator* ids,
@@ -109,23 +124,21 @@ class PingPongLineage : public Process {
   }
 
   void OnMessage(const Message& m) override {
-    int64_t hops = m.values[0].payload();
-    Relation::InsertResult ins = seen_.InsertRow(m.values);
+    const TupleSegment& in = m.segment();
+    int64_t hops = m.binding[0].payload();
+    Relation::InsertResult ins = seen_.InsertRow(in.row(0));
     MPQE_CHECK(ins.inserted);
     uint64_t id = seen_.row_id(ins.row);
+    uint64_t input = in.row_lineage(0);
     DeriveEvent event;
     event.tuple_id = id;
     event.kind = DeriveKind::kUnion;
-    event.source_msg = m.lineage;
-    event.inputs = &m.lineage;
-    event.num_inputs = m.lineage == kNoLineage ? 0 : 1;
-    event.values = m.values;
+    event.source_msg = input;
+    event.inputs = &input;
+    event.num_inputs = input == kNoLineage ? 0 : 1;
+    event.values = in.row(0);
     observers_->NotifyDerive(event);
-    if (hops > 0) {
-      Message out = MakeTuple({}, {Value::Int(hops - 1)});
-      out.lineage = id;
-      Send(peer_, std::move(out));
-    }
+    if (hops > 0) Send(peer_, OneRowSegment(hops - 1, id));
   }
 
  private:
@@ -145,7 +158,7 @@ void BM_MessageHopLineage(benchmark::State& state) {
     net.AddProcess(std::make_unique<PingPongLineage>(0, lineage.ids(),
                                                      &net.observers()));
     net.Start();
-    net.Send(kNoProcess, 0, MakeTuple({}, {Value::Int(kHops)}));
+    net.Send(kNoProcess, 0, OneRowSegment(kHops, kNoLineage));
     auto run = net.RunDeterministic();
     MPQE_CHECK(run.ok() && run->quiescent);
     MPQE_CHECK(lineage.record_count() == static_cast<size_t>(kHops) + 1);
@@ -166,7 +179,7 @@ constexpr size_t kSegmentRows = 128;
 // envelope per hop carries kSegmentRows tuples with zero row copies
 // (the hop counter rides in the message binding). Items = rows
 // transported; compare per-item against BM_MessageHopDeterministic for
-// the wire-level win of segmenting.
+// the wire-level win of multi-row segments.
 class SegmentForward : public Process {
  public:
   explicit SegmentForward(ProcessId peer) : peer_(peer) {}
@@ -417,10 +430,11 @@ std::shared_ptr<TupleSegment> MakeAbsorbSegment(int64_t first) {
   return seg;
 }
 
-// Goal-node absorption. Arg(0) mirrors
-// GoalProcess::OnTupleSegmentRowAtATime — one InsertRow per row, the
-// per-row linear scan over open output groups, one AppendRow copy per
-// survivor. Arg(1) mirrors the vectorized OnTupleSegment — one
+// Goal-node absorption. Arg(0) is the row-at-a-time absorption the
+// engine used to keep as an A/B arm (since deleted; this arm is its
+// record) — one InsertRow per row, the per-row linear scan over open
+// output groups, one AppendRow copy per survivor. Arg(1) mirrors
+// GoalProcess::OnTupleSegment — one
 // InsertSegment call per segment, then the grouping pass over the
 // survivor bitmap with a hash map keyed on the d-projection. Both
 // arms build and flush the same output segments, so the measured gap

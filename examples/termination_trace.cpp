@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
     const mpqe::MessageStats& s = result->message_stats;
     std::printf("  %-4lld %-8zu %-11llu %-10llu %-6llu %-8llu %-8llu %llu\n",
                 static_cast<long long>(n), result->answers.size(),
-                static_cast<unsigned long long>(
-                    s.Count(mpqe::MessageKind::kTuple)),
+                static_cast<unsigned long long>(s.segment_rows),
                 static_cast<unsigned long long>(
                     result->counters.duplicate_drops),
                 static_cast<unsigned long long>(

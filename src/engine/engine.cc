@@ -263,10 +263,11 @@ Engine::Engine(EngineOptions options)
     registry.GetHistogram("engine/prepare_ns");
     registry.GetHistogram("engine/session_latency_ns");
     // The message-layer families too: session registries only merge
-    // non-zero counters, so without these a workload that (say) never
-    // ships a multi-row segment would drop the whole family from the
-    // exposition instead of reporting 0 — and Prometheus rate() needs
-    // the zero sample to exist.
+    // non-zero counters, so without these a zero family would drop
+    // out of the exposition instead of reporting 0 — and Prometheus
+    // rate() needs the zero sample to exist. msg/sent/tuple is the
+    // retired bare-tuple kind: it stays registered, always at 0, so
+    // the per-kind family keeps its series.
     registry.GetCounter("msg/sent/tuple");
     registry.GetCounter("msg/sent/tuple_segment");
     registry.GetCounter("msg/delivered");

@@ -84,17 +84,17 @@ struct SessionOptions {
   // fewer physical messages, identical logical traffic and answers.
   bool batch_messages = false;
 
-  // Accumulate the answer tuples a node emits on one stream while
-  // handling one message into a columnar TupleSegment (msg/segment.h)
-  // delivered as a single shared kTupleSegment message; consumers
-  // dedup/join whole segments and fan-out shares one segment object
-  // across consumers. Identical answers and logical traffic, far fewer
-  // physical messages and per-tuple costs. Independent of
-  // batch_messages (segments ride inside envelopes when both are on).
-  bool segment_messages = true;
-
-  // Flush an accumulating segment early once it reaches this many rows
-  // (bounds per-handler buffering; must be >= 1).
+  // Answer tuples always travel as columnar TupleSegments
+  // (msg/segment.h): a node accumulates the rows it emits on one
+  // stream while handling one message into a single shared
+  // kTupleSegment message; consumers dedup/join whole segments and
+  // fan-out shares one segment object across consumers. Segments ride
+  // inside batch envelopes when batch_messages is on.
+  //
+  // Seal an accumulating segment once it reaches this many rows
+  // (bounds per-handler buffering; must be >= 1). The per-tuple wire
+  // is {segment_max_rows = 1, segment_max_rows_limit = 0}: one row per
+  // message, identical answers and logical traffic.
   size_t segment_max_rows = 1024;
 
   // Adaptive segment sizing: each (node, destination) stream starts at
@@ -103,13 +103,6 @@ struct SessionOptions {
   // fatter batches while bursty streams keep small segments. Must be 0
   // (growth disabled, fixed caps) or >= segment_max_rows.
   size_t segment_max_rows_limit = 8192;
-
-  // Absorb arriving segments through the vectorized batch kernels
-  // (Relation::InsertSegment — one hashing pass and one dedup probe
-  // per row, whole-segment forwarding on goal nodes). false restores
-  // row-at-a-time absorption; answers, duplicate drops, and proof
-  // trees are pinned identical by tests/segment_test.cc.
-  bool vectorized_segments = true;
 
   // Safety valve against runaway computations (0 = unlimited).
   uint64_t max_messages = 0;

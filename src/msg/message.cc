@@ -36,12 +36,9 @@ const char* MessageKindToString(MessageKind kind) {
 
 std::string Message::ToString(const SymbolTable* symbols) const {
   std::string out = StrCat(MessageKindToString(kind), " from=", from);
-  if (kind == MessageKind::kTupleRequest || kind == MessageKind::kTuple ||
-      kind == MessageKind::kEnd || kind == MessageKind::kTupleSegment) {
+  if (kind == MessageKind::kTupleRequest || kind == MessageKind::kEnd ||
+      kind == MessageKind::kTupleSegment) {
     out += StrCat(" binding=", TupleToString(binding, symbols));
-  }
-  if (kind == MessageKind::kTuple) {
-    out += StrCat(" values=", TupleToString(values, symbols));
   }
   if (IsProtocolMessage(kind)) out += StrCat(" wave=", wave);
   if (kind == MessageKind::kBatch) out += StrCat(" n=", batch().size());
@@ -52,11 +49,11 @@ std::string Message::ToString(const SymbolTable* symbols) const {
 }
 
 // The payload indirection is the point of the exercise: every
-// non-batch, non-segment message — the overwhelming majority of
-// protocol traffic — must stay two cache lines. Revisit any change
-// that trips this.
-static_assert(sizeof(void*) != 8 || sizeof(Message) == 96,
-              "Message grew past 96 bytes on LP64");
+// message — requests, ends, protocol traffic and segment handles
+// alike — must stay one cache line. Revisit any change that trips
+// this.
+static_assert(sizeof(void*) != 8 || sizeof(Message) == 64,
+              "Message grew past 64 bytes on LP64");
 
 Message MakeRelationRequest() {
   Message m;
@@ -68,14 +65,6 @@ Message MakeTupleRequest(Tuple binding) {
   Message m;
   m.kind = MessageKind::kTupleRequest;
   m.binding = std::move(binding);
-  return m;
-}
-
-Message MakeTuple(Tuple binding, Tuple values) {
-  Message m;
-  m.kind = MessageKind::kTuple;
-  m.binding = std::move(binding);
-  m.values = std::move(values);
   return m;
 }
 

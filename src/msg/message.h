@@ -10,7 +10,8 @@
 // *end* message once no more tuples can be produced for it. Tuple
 // requests are identified by their binding values — consumers
 // deduplicate by binding, so no separate request-id plumbing is
-// needed.
+// needed. Tuples travel only as columnar segments (kTupleSegment, one
+// or more rows on one stream; see msg/segment.h).
 
 #ifndef MPQE_MSG_MESSAGE_H_
 #define MPQE_MSG_MESSAGE_H_
@@ -32,7 +33,10 @@ enum class MessageKind : uint8_t {
   // -- computation (§3.1) -------------------------------------------------
   kRelationRequest = 0,  // consumer subscribes to a producer
   kTupleRequest = 1,     // binding for all d arguments
-  kTuple = 2,            // answer: binding + values at non-e positions
+  // Retired: answers travel only as kTupleSegment (1..N rows). The
+  // value is kept so per-kind metric families and dump kind ids stay
+  // stable; no message of this kind is ever sent (its count reads 0).
+  kTuple = 2,
   kEnd = 3,              // the tuple request `binding` is complete
   // -- distributed termination of cycles (§3.2, Fig. 2) --------------------
   kEndRequest = 4,
@@ -65,20 +69,11 @@ struct Message {
   MessageKind kind = MessageKind::kRelationRequest;
   ProcessId from = kNoProcess;  // stamped by Network::Send
 
-  // kTupleRequest / kTuple / kEnd / kTupleSegment: values of the
-  // producer's d positions, in position order; empty when the producer
-  // has no d arguments. (For kTupleSegment this duplicates the
-  // segment's binding so stream-level code never touches the payload.)
+  // kTupleRequest / kEnd / kTupleSegment: values of the producer's d
+  // positions, in position order; empty when the producer has no d
+  // arguments. (For kTupleSegment this duplicates the segment's
+  // binding so stream-level code never touches the payload.)
   Tuple binding;
-
-  // kTuple: values of the producer's non-e positions, in order.
-  Tuple values;
-
-  // kTuple: the lineage id of the carried tuple in the producer's
-  // relation (kNoLineage when provenance tracking is off). Stitches
-  // cross-process derivations together: a consumer records this id as
-  // an input of whatever it derives from the tuple. See obs/lineage.h.
-  uint64_t lineage = kNoLineage;
 
   // Protocol wave number (diagnostics / sanity checks).
   int64_t wave = 0;
@@ -122,7 +117,6 @@ struct Message {
 /// Builders.
 Message MakeRelationRequest();
 Message MakeTupleRequest(Tuple binding);
-Message MakeTuple(Tuple binding, Tuple values);
 Message MakeEnd(Tuple binding);
 Message MakeEndRequest(int64_t wave);
 Message MakeEndNegative(int64_t wave, bool open_work);

@@ -189,9 +189,7 @@ void FlightSessionObserver::OnSend(const SendEvent& event) {
     // report their sub-message count instead (full rows arrive with
     // the paired kDeliver record, which the network has already
     // computed).
-    if (event.message->kind == MessageKind::kTuple) {
-      rows = 1;
-    } else if (event.message->kind == MessageKind::kTupleSegment) {
+    if (event.message->kind == MessageKind::kTupleSegment) {
       rows = ClampU32(event.message->segment().num_rows);
     } else if (event.message->kind == MessageKind::kBatch) {
       rows = ClampU32(event.message->batch().size());

@@ -86,9 +86,9 @@ struct DeliverEvent {
 
 // One node-process firing: a graph node handled one message
 // (engine/node_processes.cc). `tuples_in`/`tuples_out` count answer
-// tuples consumed/emitted during this firing — bare kTuple payloads
-// and rows inside columnar segments both count; `dedup_hits` is how
-// many arrivals/results duplicate elimination rejected.
+// tuples consumed/emitted during this firing (rows inside columnar
+// segments); `dedup_hits` is how many arrivals/results duplicate
+// elimination rejected.
 struct NodeFireEvent {
   int32_t node = -1;  // graph NodeId
   ProcessId pid = kNoProcess;

@@ -1,8 +1,9 @@
-// Tests for columnar tuple segments (msg/segment.h): the segmented
-// path computes exactly the relations and proof trees of the per-tuple
-// seed path, across schedulers; segment edge cases (empty, arity 0,
-// flush at the size cap); and shared fan-out (one segment object sent
-// to several consumers without copying rows).
+// Tests for columnar tuple segments (msg/segment.h), the only wire
+// format for answer tuples: the default row cap computes exactly the
+// relations, duplicate drops and proof trees of the per-tuple wire
+// (cap 1, growth off), across schedulers; segment edge cases (empty,
+// arity 0, flush at the size cap); and shared fan-out (one segment
+// object sent to several consumers without copying rows).
 
 #include <gtest/gtest.h>
 
@@ -21,9 +22,11 @@
 namespace mpqe {
 namespace {
 
+// The per-tuple wire: every segment carries exactly one row.
 EvaluationOptions PerTuple() {
   EvaluationOptions options;
-  options.segment_messages = false;
+  options.segment_max_rows = 1;
+  options.segment_max_rows_limit = 0;
   return options;
 }
 
@@ -130,7 +133,7 @@ TEST(SegmentTest, TransitiveClosureMatchesPerTuple) {
   Program p1, p2;
   ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), p1, db1).ok());
   ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), p2, db2).ok());
-  auto segmented = Evaluate(p1, db1);  // segments default on
+  auto segmented = Evaluate(p1, db1);  // default row cap
   auto per_tuple = Evaluate(p2, db2, PerTuple());
   ASSERT_TRUE(segmented.ok()) << segmented.status();
   ASSERT_TRUE(per_tuple.ok());
@@ -138,13 +141,18 @@ TEST(SegmentTest, TransitiveClosureMatchesPerTuple) {
   EXPECT_TRUE(segmented->ended_by_protocol);
 
   const MessageStats& s = segmented->message_stats;
+  const MessageStats& t = per_tuple->message_stats;
   EXPECT_GT(s.Count(MessageKind::kTupleSegment), 0u);
   EXPECT_GT(s.segment_rows, 0u);
-  EXPECT_EQ(per_tuple->message_stats.Count(MessageKind::kTupleSegment), 0u);
-  EXPECT_EQ(per_tuple->message_stats.segment_rows, 0u);
-  // Far fewer physical messages: the segmented run replaces most
-  // per-tuple messages with multi-row segments.
-  EXPECT_LT(s.PhysicalTotal(), per_tuple->message_stats.PhysicalTotal());
+  // Answers travel only in segments: the retired kTuple kind is never
+  // sent, and at cap 1 every segment carries exactly one row.
+  EXPECT_EQ(s.Count(MessageKind::kTuple), 0u);
+  EXPECT_EQ(t.Count(MessageKind::kTuple), 0u);
+  EXPECT_EQ(t.Count(MessageKind::kTupleSegment), t.segment_rows);
+  // Identical logical traffic; far fewer physical messages, since the
+  // default cap packs most rows into multi-row segments.
+  EXPECT_EQ(s.ComputationTotal(), t.ComputationTotal());
+  EXPECT_LT(s.PhysicalTotal(), t.PhysicalTotal());
 }
 
 TEST(SegmentTest, WorksWithBatchingCoalescingAndSchedulers) {
@@ -225,35 +233,43 @@ std::map<std::string, std::string> ProofsByAnswer(
   return proofs;
 }
 
+// Linear TC over a 16-chain from node 0 with lineage on, on the
+// per-tuple wire or at the default row cap.
+EvaluationResult EvalChainWithLineage(bool per_tuple, SchedulerKind scheduler) {
+  Database db;
+  EXPECT_TRUE(workload::MakeChain(db, "edge", 16).ok());
+  Program program;
+  EXPECT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
+  EvaluationOptions options = per_tuple ? PerTuple() : EvaluationOptions();
+  options.scheduler = scheduler;
+  options.workers = 3;
+  options.lineage = true;
+  auto result = Evaluate(program, db, options);
+  EXPECT_TRUE(result.ok()) << result.status();
+  return *std::move(result);
+}
+
 TEST(SegmentTest, ProofTreesMatchPerTuplePath) {
-  auto eval = [](bool segments, SchedulerKind scheduler) {
-    Database db;
-    EXPECT_TRUE(workload::MakeChain(db, "edge", 16).ok());
-    Program program;
-    EXPECT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    EvaluationOptions options;
-    options.segment_messages = segments;
-    options.scheduler = scheduler;
-    options.workers = 3;
-    options.lineage = true;
-    auto result = Evaluate(program, db, options);
-    EXPECT_TRUE(result.ok()) << result.status();
-    return *std::move(result);
-  };
-  EvaluationResult seed = eval(false, SchedulerKind::kDeterministic);
+  EvaluationResult seed =
+      EvalChainWithLineage(/*per_tuple=*/true, SchedulerKind::kDeterministic);
   ASSERT_NE(seed.lineage, nullptr);
   auto seed_proofs = ProofsByAnswer(seed);
   ASSERT_EQ(seed_proofs.size(), seed.answers.size());
 
   for (SchedulerKind scheduler :
-       {SchedulerKind::kDeterministic, SchedulerKind::kThreaded}) {
-    EvaluationResult segmented = eval(true, scheduler);
-    ASSERT_NE(segmented.lineage, nullptr);
-    EXPECT_TRUE(segmented.answers == seed.answers);
-    EXPECT_EQ(segmented.lineage->records.size(), seed.lineage->records.size());
-    auto proofs = ProofsByAnswer(segmented);
-    EXPECT_EQ(proofs, seed_proofs)
-        << "scheduler=" << SchedulerKindToName(scheduler);
+       {SchedulerKind::kDeterministic, SchedulerKind::kRandom,
+        SchedulerKind::kThreaded}) {
+    for (bool per_tuple : {true, false}) {
+      EvaluationResult result = EvalChainWithLineage(per_tuple, scheduler);
+      std::string cell = std::string("scheduler=") +
+                         SchedulerKindToName(scheduler) +
+                         " per_tuple=" + (per_tuple ? "yes" : "no");
+      ASSERT_NE(result.lineage, nullptr) << cell;
+      EXPECT_TRUE(result.answers == seed.answers) << cell;
+      EXPECT_EQ(result.lineage->records.size(), seed.lineage->records.size())
+          << cell;
+      EXPECT_EQ(ProofsByAnswer(result), seed_proofs) << cell;
+    }
   }
 }
 
@@ -261,25 +277,30 @@ TEST(SegmentTest, ProofTreesMatchPerTuplePath) {
 // Flush policy
 
 TEST(SegmentTest, SegmentsRespectTheRowCap) {
-  Database db;
-  ASSERT_TRUE(workload::MakeCycle(db, "edge", 16).ok());
-  Program program;
-  ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-  SegmentRecorder recorder;
-  EvaluationOptions options;
-  options.segment_max_rows = 8;
-  // Pin the adaptive cap: this test asserts the exact fixed cap, so
-  // disable growth toward segment_max_rows_limit.
-  options.segment_max_rows_limit = 0;
-  options.observers.push_back(&recorder);
-  auto result = Evaluate(program, db, options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  // Nonlinear TC on a 16-cycle produces answer runs well past 8 rows,
-  // so the cap must split them into multiple full segments.
-  EXPECT_GT(result->message_stats.Count(MessageKind::kTupleSegment), 1u);
-  EXPECT_EQ(recorder.max_rows(), 8u);
-  // Single-row segments are demoted to bare kTuple messages.
-  EXPECT_GE(recorder.min_rows(), 2u);
+  // Cap 1 is the per-tuple wire: a freshly opened segment already
+  // meets it and must never take a second row.
+  for (size_t cap : {size_t{1}, size_t{8}}) {
+    Database db;
+    ASSERT_TRUE(workload::MakeCycle(db, "edge", 16).ok());
+    Program program;
+    ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
+    SegmentRecorder recorder;
+    EvaluationOptions options;
+    options.segment_max_rows = cap;
+    // Pin the adaptive cap: this test asserts the exact fixed cap, so
+    // disable growth toward segment_max_rows_limit.
+    options.segment_max_rows_limit = 0;
+    options.observers.push_back(&recorder);
+    auto result = Evaluate(program, db, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    // Nonlinear TC on a 16-cycle produces answer runs well past 8
+    // rows, so the cap must split them into multiple full segments.
+    EXPECT_GT(result->message_stats.Count(MessageKind::kTupleSegment), 1u)
+        << "cap=" << cap;
+    EXPECT_EQ(recorder.max_rows(), cap);
+    // Single-row segments travel as they are (no other encoding).
+    EXPECT_GE(recorder.min_rows(), 1u) << "cap=" << cap;
+  }
 }
 
 TEST(SegmentTest, RowCapMustBePositive) {
@@ -295,15 +316,17 @@ TEST(SegmentTest, RowCapMustBePositive) {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized-vs-per-row equivalence (batch kernels on/off)
+// Row-cap equivalence (per-tuple wire vs. default cap)
 
-TEST(SegmentTest, VectorizedMatchesRowAtATimeMatrix) {
-  // Nonlinear TC on a cycle re-derives heavily, so every arm of the
-  // matrix exercises real duplicate traffic. The vectorized batch
-  // kernels (InsertSegment absorption, batch child-answer dedup) must
-  // reproduce the row-at-a-time path's answer set exactly, and — on
-  // the deterministic scheduler, where both paths see the identical
-  // message stream — the identical duplicate-drop count.
+TEST(SegmentTest, CapOneMatchesDefaultCapMatrix) {
+  // Nonlinear TC on a cycle re-derives heavily, so every cell of the
+  // matrix exercises real duplicate traffic. The per-tuple wire (cap
+  // 1, growth off) and the default adaptive cap must produce the same
+  // answer set, the same duplicate-drop count (each context/answer
+  // pair is joined exactly once, whatever the arrival grouping) and
+  // the same lineage record count. Proof trees need unique
+  // derivations, so ProofTreesMatchPerTuplePath checks them on chain TC
+  // for the same caps and schedulers.
   Relation truth{0};
   {
     Database db;
@@ -314,13 +337,12 @@ TEST(SegmentTest, VectorizedMatchesRowAtATimeMatrix) {
     ASSERT_TRUE(t.ok());
     truth = t->goal;
   }
-  auto eval = [](bool vectorized, SchedulerKind scheduler, bool lineage) {
+  auto eval = [](bool per_tuple, SchedulerKind scheduler, bool lineage) {
     Database db;
     EXPECT_TRUE(workload::MakeCycle(db, "edge", 12).ok());
     Program program;
     EXPECT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-    EvaluationOptions options;
-    options.vectorized_segments = vectorized;
+    EvaluationOptions options = per_tuple ? PerTuple() : EvaluationOptions();
     options.scheduler = scheduler;
     options.seed = 23;
     options.workers = 3;
@@ -330,62 +352,27 @@ TEST(SegmentTest, VectorizedMatchesRowAtATimeMatrix) {
     return *std::move(result);
   };
   for (SchedulerKind scheduler :
-       {SchedulerKind::kDeterministic, SchedulerKind::kThreaded}) {
+       {SchedulerKind::kDeterministic, SchedulerKind::kRandom,
+        SchedulerKind::kThreaded}) {
     for (bool lineage : {false, true}) {
-      EvaluationResult row = eval(false, scheduler, lineage);
-      EvaluationResult vec = eval(true, scheduler, lineage);
-      std::string arm = std::string("scheduler=") +
-                        SchedulerKindToName(scheduler) +
-                        " lineage=" + (lineage ? "on" : "off");
-      EXPECT_TRUE(row.answers == truth) << arm;
-      EXPECT_TRUE(vec.answers == truth) << arm;
-      EXPECT_TRUE(row.ended_by_protocol) << arm;
-      EXPECT_TRUE(vec.ended_by_protocol) << arm;
-      if (scheduler == SchedulerKind::kDeterministic) {
-        EXPECT_EQ(vec.counters.duplicate_drops,
-                  row.counters.duplicate_drops)
-            << arm;
-      }
-      if (lineage) {
-        ASSERT_NE(row.lineage, nullptr) << arm;
-        ASSERT_NE(vec.lineage, nullptr) << arm;
-        // One record per distinct tuple, whichever path derived it.
-        EXPECT_EQ(vec.lineage->records.size(), row.lineage->records.size())
-            << arm;
-      }
+      EvaluationResult one = eval(true, scheduler, lineage);
+      EvaluationResult dflt = eval(false, scheduler, lineage);
+      std::string cell = std::string("scheduler=") +
+                         SchedulerKindToName(scheduler) +
+                         " lineage=" + (lineage ? "on" : "off");
+      EXPECT_TRUE(one.answers == truth) << cell;
+      EXPECT_TRUE(dflt.answers == truth) << cell;
+      EXPECT_TRUE(one.ended_by_protocol) << cell;
+      EXPECT_TRUE(dflt.ended_by_protocol) << cell;
+      EXPECT_EQ(one.counters.duplicate_drops, dflt.counters.duplicate_drops)
+          << cell;
+      if (!lineage) continue;
+      ASSERT_NE(one.lineage, nullptr) << cell;
+      ASSERT_NE(dflt.lineage, nullptr) << cell;
+      // One record per distinct tuple, whichever cap derived it.
+      EXPECT_EQ(one.lineage->records.size(), dflt.lineage->records.size())
+          << cell;
     }
-  }
-}
-
-TEST(SegmentTest, VectorizedProofTreesMatchRowAtATime) {
-  // Chain TC from a fixed start: unique derivations, so proof trees
-  // must come out byte-identical (modulo ids) whichever kernel built
-  // them, under both schedulers.
-  auto eval = [](bool vectorized, SchedulerKind scheduler) {
-    Database db;
-    EXPECT_TRUE(workload::MakeChain(db, "edge", 16).ok());
-    Program program;
-    EXPECT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    EvaluationOptions options;
-    options.vectorized_segments = vectorized;
-    options.scheduler = scheduler;
-    options.workers = 3;
-    options.lineage = true;
-    auto result = Evaluate(program, db, options);
-    EXPECT_TRUE(result.ok()) << result.status();
-    return *std::move(result);
-  };
-  EvaluationResult seed = eval(false, SchedulerKind::kDeterministic);
-  ASSERT_NE(seed.lineage, nullptr);
-  auto seed_proofs = ProofsByAnswer(seed);
-  ASSERT_EQ(seed_proofs.size(), seed.answers.size());
-  for (SchedulerKind scheduler :
-       {SchedulerKind::kDeterministic, SchedulerKind::kThreaded}) {
-    EvaluationResult vec = eval(true, scheduler);
-    ASSERT_NE(vec.lineage, nullptr);
-    EXPECT_TRUE(vec.answers == seed.answers);
-    EXPECT_EQ(ProofsByAnswer(vec), seed_proofs)
-        << "scheduler=" << SchedulerKindToName(scheduler);
   }
 }
 
