@@ -4,8 +4,8 @@
 //   * EDB hash indexes (class c/d selections probe vs scan);
 //   * the information passing strategy (greedy vs left-to-right vs
 //     qual-tree vs none);
-//   * batching and coalescing appear in bench_batching /
-//     bench_coalescing.
+//   * coalescing appears in bench_coalescing; segment sizing in
+//     bench_duplicate_elimination (BM_DedupSegmentedVsPerTuple).
 //
 // Answers are identical across all configurations; the counters and
 // times isolate each choice's contribution.

@@ -94,8 +94,8 @@ BENCHMARK(BM_DedupNonlinearVsLinear)
 // Segmented vs per-tuple wire on the same dedup-bound workload
 // (nonlinear TC on a cycle — multi-row answer runs, so segments
 // actually fill). arg1 == 1 evaluates at the default row cap, arg1 ==
-// 0 at the per-tuple wire's degenerate cap (segment_max_rows = 1,
-// growth off: one row per segment). The time ratio is the end-to-end
+// 0 at the per-tuple wire's degenerate cap (segment_max_rows = 1: one
+// row per segment). The time ratio is the end-to-end
 // win of multi-row segments.
 void BM_DedupSegmentedVsPerTuple(benchmark::State& state) {
   int64_t n = state.range(0);
@@ -107,10 +107,7 @@ void BM_DedupSegmentedVsPerTuple(benchmark::State& state) {
     Program program;
     MPQE_CHECK(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
     EvaluationOptions options;
-    if (!segmented) {
-      options.segment_max_rows = 1;
-      options.segment_max_rows_limit = 0;
-    }
+    if (!segmented) options.segment_max_rows = 1;
     auto r = Evaluate(program, db, options);
     MPQE_CHECK(r.ok());
     result = *std::move(r);

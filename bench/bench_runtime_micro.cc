@@ -402,8 +402,8 @@ BENCHMARK(BM_SegmentHopFlight);
 
 // The absorb workload models a goal node over a full query lifetime:
 // the relation starts empty and absorbs a stream of fat segments
-// (adaptive sizing: steady-state recursion ships segments near
-// segment_max_rows_limit, not the 128-row default). The goal has a
+// (4096 rows, four times the default segment_max_rows cap: a stress
+// size that keeps the recorded speedup floor comparable). The goal has a
 // free head variable in its d-projection, so a segment's rows split
 // across kAbsorbGroups distinct output bindings — the multi-group
 // case whose O(groups)-per-row linear scan the vectorized path

@@ -2,7 +2,7 @@
 """Validate observability JSON artifacts.
 
 Usage: check_trace.py trace.json            # Chrome trace (TraceExporter)
-       check_trace.py --profile profile.json  # mpqe-profile-v1 (profiler)
+       check_trace.py --profile profile.json  # mpqe-profile-v2 (profiler)
        check_trace.py --lineage lineage.json  # mpqe-lineage-v1 (provenance)
        check_trace.py --prometheus scrape.txt [--queries querylog.json]
                                               # /metrics exposition + query log
@@ -22,7 +22,7 @@ Trace checks (stdlib only, exit 0 = valid, 1 = invalid):
     delivery);
   * metadata ("M") names every thread that appears in events.
 
-Profile checks (--profile, schema "mpqe-profile-v1"):
+Profile checks (--profile, schema "mpqe-profile-v2"):
   * top-level schema marker, totals, phases, nodes, sccs all present;
   * every node row has the full counter set (including the segment
     envelope counters segments_in/out and segment_rows_in/out), node
@@ -95,9 +95,8 @@ KNOWN_PHASES = {"X", "s", "f", "i", "C", "M", "B", "E"}
 
 NODE_COUNTERS = [
     "fires", "requests_in", "tuples_in", "tuples_out", "dedup_hits",
-    "msgs_in", "msgs_out", "batch_envelopes_in", "batch_envelopes_out",
-    "segments_in", "segments_out", "segment_rows_in", "segment_rows_out",
-    "batch_rows_in", "batch_dedup_hits",
+    "msgs_in", "msgs_out", "segments_in", "segments_out", "segment_rows_in",
+    "segment_rows_out", "batch_rows_in", "batch_dedup_hits",
     "fire_ns", "queue_wait_ns",
 ]
 
@@ -124,8 +123,8 @@ def load(path):
 
 def check_profile(path):
     report = load(path)
-    if report.get("schema") != "mpqe-profile-v1":
-        fail(f'schema is {report.get("schema")!r}, expected "mpqe-profile-v1"')
+    if report.get("schema") != "mpqe-profile-v2":
+        fail(f'schema is {report.get("schema")!r}, expected "mpqe-profile-v2"')
     for key in ("totals", "phases", "nodes", "sccs"):
         if key not in report:
             fail(f'top-level "{key}" missing')

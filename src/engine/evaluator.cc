@@ -45,12 +45,6 @@ Status SessionOptions::Validate() const {
   if (segment_max_rows < 1) {
     return InvalidArgumentError("segment_max_rows: must be >= 1");
   }
-  if (segment_max_rows_limit != 0 &&
-      segment_max_rows_limit < segment_max_rows) {
-    return InvalidArgumentError(
-        "segment_max_rows_limit: must be 0 (fixed caps) or >= "
-        "segment_max_rows");
-  }
   // Empty log_level is fine (defers to MPQE_LOG_LEVEL); an explicit
   // but unknown name is a configuration error.
   StatusOr<std::optional<LogLevel>> level = EngineLogLevelFromName(log_level);
@@ -348,18 +342,12 @@ FlightDump BuildFlightDump(const RuleGoalGraph& graph, Database& db,
   return dump;
 }
 
-}  // namespace
-
-StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
-                                      const SessionOptions& options,
-                                      EdbIndexMode edb_index_mode) {
-  MPQE_RETURN_IF_ERROR(options.Validate());
-  ScopedObservers scoped(options);
-  // Identify the session before any other event so every observer can
-  // stamp its output with the engine-minted query id. 0 means "no
-  // engine" (one-shot Evaluate): no event, outputs stay id-free.
-  if (options.query_id != 0 && !scoped.list.empty()) {
-    scoped.list.NotifySessionStart(SessionStartEvent{options.query_id});
+// Identifies the session before any other event so every observer can
+// stamp its output with the engine-minted query id. 0 means "no
+// engine" (one-shot Evaluate): no event, outputs stay id-free.
+void StartSession(const SessionOptions& options, const ObserverList& list) {
+  if (options.query_id != 0 && !list.empty()) {
+    list.NotifySessionStart(SessionStartEvent{options.query_id});
   }
   if (options.flight != nullptr) {
     // The black box gets the session header directly (scheduler kind +
@@ -369,6 +357,14 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
                                 static_cast<int32_t>(options.scheduler),
                                 options.workers);
   }
+}
+
+// Runs one session of `graph` with the evaluation's observer set
+// `scoped` (already started). Options are already validated.
+StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
+                                     const SessionOptions& options,
+                                     EdbIndexMode edb_index_mode,
+                                     ScopedObservers& scoped) {
   if (scoped.profiler.has_value()) {
     scoped.profiler->AttachGraph(&graph, &db.symbols());
   }
@@ -381,9 +377,7 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   EngineShared shared;
   shared.graph = &graph;
   shared.db = &db;
-  shared.batch_messages = options.batch_messages;
   shared.segment_max_rows = options.segment_max_rows;
-  shared.segment_max_rows_limit = options.segment_max_rows_limit;
   shared.use_edb_indexes = options.use_edb_indexes;
   shared.edb_index_mode = edb_index_mode;
   if (scoped.lineage.has_value()) {
@@ -536,29 +530,32 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   }
   if (!run.ok()) return run.status();
 
-  ScopedPhase drain_phase(scoped.list, Phase::kDrain);
   EvaluationResult result;
-  result.answers = sink_ptr->answers();
-  result.ended_by_protocol = sink_ptr->done();
-  result.quiescent_after = network.TotalPending() == 0;
-  result.message_stats = network.stats();
-  result.graph_stats = graph.Stats();
-  result.delivered = run->delivered;
-  for (NodeProcessBase* p : node_processes) {
-    p->AccumulateCounters(result.counters);
-  }
-  if (options.collect_node_counters) {
-    result.node_counters.reserve(node_processes.size());
-    for (NodeId id = 0; id < static_cast<NodeId>(node_processes.size());
-         ++id) {
-      NodeCounters row;
-      row.node = id;
-      node_processes[id]->AccumulateCounters(row.counters);
-      result.node_counters.push_back(std::move(row));
+  {
+    // Closed before the profiler's Finalize so the report sees it.
+    ScopedPhase drain_phase(scoped.list, Phase::kDrain);
+    result.answers = sink_ptr->answers();
+    result.ended_by_protocol = sink_ptr->done();
+    result.quiescent_after = network.TotalPending() == 0;
+    result.message_stats = network.stats();
+    result.graph_stats = graph.Stats();
+    result.delivered = run->delivered;
+    for (NodeProcessBase* p : node_processes) {
+      p->AccumulateCounters(result.counters);
     }
-  }
-  if (options.metrics != nullptr) {
-    DumpMetrics(options, graph, node_processes, result);
+    if (options.collect_node_counters) {
+      result.node_counters.reserve(node_processes.size());
+      for (NodeId id = 0; id < static_cast<NodeId>(node_processes.size());
+           ++id) {
+        NodeCounters row;
+        row.node = id;
+        node_processes[id]->AccumulateCounters(row.counters);
+        result.node_counters.push_back(std::move(row));
+      }
+    }
+    if (options.metrics != nullptr) {
+      DumpMetrics(options, graph, node_processes, result);
+    }
   }
   if (scoped.profiler.has_value()) {
     auto report = std::make_shared<ProfileReport>(scoped.profiler->Finalize());
@@ -581,6 +578,17 @@ StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
   return result;
 }
 
+}  // namespace
+
+StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
+                                      const SessionOptions& options,
+                                      EdbIndexMode edb_index_mode) {
+  MPQE_RETURN_IF_ERROR(options.Validate());
+  ScopedObservers scoped(options);
+  StartSession(options, scoped.list);
+  return RunScoped(graph, db, options, edb_index_mode, scoped);
+}
+
 StatusOr<EvaluationResult> EvaluateWithGraph(const RuleGoalGraph& graph,
                                              Database& db,
                                              const EvaluationOptions& options) {
@@ -591,7 +599,10 @@ StatusOr<EvaluationResult> EvaluateWithGraph(const RuleGoalGraph& graph,
 StatusOr<EvaluationResult> Evaluate(const Program& program, Database& db,
                                     const EvaluationOptions& options) {
   MPQE_RETURN_IF_ERROR(options.Validate());
+  // One observer set for the whole evaluation, so the profiler sees
+  // the plan phases as well as the session's.
   ScopedObservers scoped(options);
+  StartSession(options, scoped.list);
 
   std::unique_ptr<SipsStrategy> strategy;
   {
@@ -607,7 +618,7 @@ StatusOr<EvaluationResult> Evaluate(const Program& program, Database& db,
     MPQE_ASSIGN_OR_RETURN(
         graph, RuleGoalGraph::Build(program, *strategy, options.graph_options));
   }
-  return EvaluateWithGraph(*graph, db, options);
+  return RunScoped(*graph, db, options, EdbIndexMode::kRegister, scoped);
 }
 
 }  // namespace mpqe

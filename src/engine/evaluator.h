@@ -79,30 +79,17 @@ struct SessionOptions {
   uint64_t seed = 1;    // kRandom
   int workers = 4;      // kThreaded
 
-  // Package the messages a node emits while handling one message into
-  // per-destination batch envelopes (the paper's footnote 2): far
-  // fewer physical messages, identical logical traffic and answers.
-  bool batch_messages = false;
-
   // Answer tuples always travel as columnar TupleSegments
   // (msg/segment.h): a node accumulates the rows it emits on one
   // stream while handling one message into a single shared
   // kTupleSegment message; consumers dedup/join whole segments and
-  // fan-out shares one segment object across consumers. Segments ride
-  // inside batch envelopes when batch_messages is on.
+  // fan-out shares one segment object across consumers.
   //
   // Seal an accumulating segment once it reaches this many rows
   // (bounds per-handler buffering; must be >= 1). The per-tuple wire
-  // is {segment_max_rows = 1, segment_max_rows_limit = 0}: one row per
-  // message, identical answers and logical traffic.
+  // is segment_max_rows = 1: one row per message, identical answers
+  // and logical traffic.
   size_t segment_max_rows = 1024;
-
-  // Adaptive segment sizing: each (node, destination) stream starts at
-  // the segment_max_rows cap and doubles it toward this limit after
-  // consecutive full seals, so steady-state recursion ships fewer,
-  // fatter batches while bursty streams keep small segments. Must be 0
-  // (growth disabled, fixed caps) or >= segment_max_rows.
-  size_t segment_max_rows_limit = 8192;
 
   // Safety valve against runaway computations (0 = unlimited).
   uint64_t max_messages = 0;

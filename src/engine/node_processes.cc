@@ -81,12 +81,6 @@ void NodeProcessBase::OnMessage(const Message& message) {
   event.trigger = message.kind;
   if (message.kind == MessageKind::kTupleSegment) {
     event.tuples_in = static_cast<uint32_t>(message.segment().num_rows);
-  } else if (message.kind == MessageKind::kBatch) {
-    for (const Message& sub : message.batch()) {
-      if (sub.kind == MessageKind::kTupleSegment) {
-        event.tuples_in += static_cast<uint32_t>(sub.segment().num_rows);
-      }
-    }
   }
   event.tuples_out = fire_tuples_out_;
   event.dedup_hits = LocalDuplicateDrops() - drops_before;
@@ -115,17 +109,6 @@ void NodeProcessBase::Dispatch(const Message& message) {
     case MessageKind::kWorkNotice:
       termination_.OnWorkNotice(message);
       break;
-    case MessageKind::kBatch: {
-      termination_.OnWorkMessage();
-      for (const Message& packaged : message.batch()) {
-        // Cheap even for packaged segments: copying a Message bumps
-        // the payload refcount, it never deep-copies the rows.
-        Message sub = packaged;
-        sub.from = message.from;
-        HandleWork(sub);
-      }
-      break;
-    }
     default:
       termination_.OnWorkMessage();
       HandleWork(message);
@@ -139,27 +122,6 @@ void NodeProcessBase::Emit(ProcessId to, Message m) {
   outbox_.emplace_back(to, std::move(m));
 }
 
-size_t NodeProcessBase::SegmentCap(ProcessId to) {
-  size_t base = shared_.segment_max_rows;
-  if (shared_.segment_max_rows_limit <= base) return base;  // growth off
-  auto [it, inserted] = dest_sizing_.emplace(to, DestSizing{base, 0});
-  return it->second.cap;
-}
-
-void NodeProcessBase::NoteSealedSegment(ProcessId to, bool full) {
-  if (shared_.segment_max_rows_limit <= shared_.segment_max_rows) return;
-  DestSizing& sizing =
-      dest_sizing_.emplace(to, DestSizing{shared_.segment_max_rows, 0})
-          .first->second;
-  if (!full) {
-    sizing.full_streak = 0;
-    return;
-  }
-  if (++sizing.full_streak < 2) return;
-  sizing.full_streak = 0;
-  sizing.cap = std::min(sizing.cap * 2, shared_.segment_max_rows_limit);
-}
-
 void NodeProcessBase::EmitTuple(ProcessId to, const Tuple& binding,
                                 TupleRef values, uint64_t lineage_id) {
   if (observing_fire_) ++fire_tuples_out_;
@@ -171,26 +133,22 @@ void NodeProcessBase::EmitTuple(ProcessId to, const Tuple& binding,
     OpenSegment& open = open_segments_[i];
     if (open.to != to || !(open.segment->binding == binding)) continue;
     append(*open.segment);
-    if (open.segment->num_rows >= open.cap) {
+    if (open.segment->num_rows >= shared_.segment_max_rows) {
       // Seal at the size cap: the handle stays at its outbox position;
       // further rows on this stream open a new (later) segment, so
       // per-stream order is preserved.
       open.segment->CheckConsistent();
       open_segments_.erase(open_segments_.begin() +
                            static_cast<ptrdiff_t>(i));
-      NoteSealedSegment(to, /*full=*/true);
     }
     return;
   }
   std::shared_ptr<TupleSegment> segment = NewSegment(binding, values.size());
   append(*segment);
-  size_t cap = SegmentCap(to);
-  if (segment->num_rows >= cap) {
-    // A fresh segment that already meets its cap (cap 1) is sealed on
-    // the spot; it never accepts a second row.
-    NoteSealedSegment(to, /*full=*/true);
-  } else {
-    open_segments_.push_back({to, cap, segment});
+  // A fresh segment that already meets the cap (cap 1) is sealed on
+  // the spot; it never accepts a second row.
+  if (segment->num_rows < shared_.segment_max_rows) {
+    open_segments_.push_back({to, segment});
   }
   outbox_.emplace_back(to, MakeTupleSegment(std::move(segment)));
 }
@@ -209,38 +167,10 @@ void NodeProcessBase::EmitSegment(ProcessId to,
 
 void NodeProcessBase::FlushEmits() {
   // Open segments are sealed simply by dropping the mutable handle.
-  for (OpenSegment& open : open_segments_) {
-    // End-of-handler seals are partial by definition (cap seals left
-    // open_segments_ in EmitTuple): they reset the destination's
-    // full-segment streak.
-    NoteSealedSegment(open.to, /*full=*/false);
-    open.segment->CheckConsistent();
-  }
+  for (OpenSegment& open : open_segments_) open.segment->CheckConsistent();
   open_segments_.clear();
-  if (outbox_.empty()) return;
-  if (!shared_.batch_messages) {
-    for (auto& [to, m] : outbox_) Send(to, std::move(m));
-    outbox_.clear();
-    return;
-  }
-  // Group by destination, preserving per-destination send order and
-  // first-appearance destination order.
-  std::vector<ProcessId> order;
-  std::unordered_map<ProcessId, std::vector<Message>> groups;
-  for (auto& [to, m] : outbox_) {
-    auto [it, inserted] = groups.emplace(to, std::vector<Message>());
-    if (inserted) order.push_back(to);
-    it->second.push_back(std::move(m));
-  }
+  for (auto& [to, m] : outbox_) Send(to, std::move(m));
   outbox_.clear();
-  for (ProcessId to : order) {
-    std::vector<Message>& messages = groups[to];
-    if (messages.size() == 1) {
-      Send(to, std::move(messages.front()));
-    } else {
-      Send(to, MakeBatch(std::move(messages)));
-    }
-  }
 }
 
 void NodeProcessBase::AccumulateCounters(EngineCounters& out) const {
@@ -399,24 +329,19 @@ class GoalProcess : public NodeProcessBase {
     if (!c.bindings.insert(m.binding).second) return;  // duplicate request
 
     // Replay the stored stream restricted to this binding as shared
-    // segments, split at the consumer's row cap.
+    // segments, split at the row cap.
     const std::vector<size_t>* hits = answers_.Probe(d_index_, m.binding);
     if (hits != nullptr) {
-      size_t cap = SegmentCap(m.from);
       auto replay = NewSegment(m.binding, out_positions_.size());
       for (size_t pos : *hits) {
         replay->AppendRow(answers_.tuple(pos));
         if (lineage_on()) replay->lineage.push_back(answers_.row_id(pos));
-        if (replay->num_rows >= cap) {
+        if (replay->num_rows >= shared_.segment_max_rows) {
           EmitSegment(m.from, std::move(replay));
-          NoteSealedSegment(m.from, /*full=*/true);
           replay = NewSegment(m.binding, out_positions_.size());
         }
       }
-      if (!replay->empty()) {
-        EmitSegment(m.from, std::move(replay));
-        NoteSealedSegment(m.from, /*full=*/false);
-      }
+      if (!replay->empty()) EmitSegment(m.from, std::move(replay));
     }
     if (completed_.count(m.binding) != 0) {
       if (c.external && c.ended.insert(m.binding).second) {
@@ -478,13 +403,10 @@ class GoalProcess : public NodeProcessBase {
     };
     std::unordered_map<Tuple, OutGroup, TupleHash> groups;
     std::vector<OutGroup*> group_order;
-    // Shared fan-out segments go to several consumers; size them with
-    // the node-wide (kNoProcess) adaptive cap.
-    size_t cap = SegmentCap(kNoProcess);
     // Publishes one derive batch for the group and hands every
     // subscribed consumer the same segment object. Called at the size
     // cap and once at the end.
-    auto flush_group = [&](OutGroup& group, bool full) {
+    auto flush_group = [&](OutGroup& group) {
       if (group.segment->empty()) return;
       group.segment->CheckConsistent();
       if (lineage_on()) {
@@ -495,7 +417,6 @@ class GoalProcess : public NodeProcessBase {
           EmitSegment(pid, group.segment);
         }
       }
-      NoteSealedSegment(kNoProcess, full);
     };
     Tuple dproj(d_in_out_.size(), Value());
     for (size_t r = 0; r < in.num_rows; ++r) {
@@ -515,13 +436,13 @@ class GoalProcess : public NodeProcessBase {
         group.segment->lineage.push_back(answers_.row_id(ins.rows[r]));
         group.inputs.push_back(in.row_lineage(r));
       }
-      if (group.segment->num_rows >= cap) {
-        flush_group(group, /*full=*/true);
+      if (group.segment->num_rows >= shared_.segment_max_rows) {
+        flush_group(group);
         group.segment = NewSegment(dproj, in.arity);
         group.inputs.clear();
       }
     }
-    for (OutGroup* group : group_order) flush_group(*group, /*full=*/false);
+    for (OutGroup* group : group_order) flush_group(*group);
   }
 
   // Every row's d-projection equals the stream binding (the wholesale
@@ -703,7 +624,6 @@ class EdbProcess : public NodeProcessBase {
     // The whole answer set for this request is known within this one
     // handler, so rows go straight into one segment (EmitTuple's
     // open-segment lookup would be per-row overhead).
-    size_t cap = SegmentCap(m.from);
     auto segment = NewSegment(m.binding, out_positions_.size());
     auto emit = [&](size_t pos) {
       TupleRef t = relation_->tuple(pos);
@@ -718,9 +638,8 @@ class EdbProcess : public NodeProcessBase {
       // Base-fact provenance: the underlying row's id (assigned at
       // wiring when lineage is on).
       if (lineage_on()) segment->lineage.push_back(relation_->row_id(pos));
-      if (segment->num_rows >= cap) {
+      if (segment->num_rows >= shared_.segment_max_rows) {
         EmitSegment(m.from, std::move(segment));
-        NoteSealedSegment(m.from, /*full=*/true);
         segment = NewSegment(m.binding, out_positions_.size());
       }
     };
@@ -745,10 +664,7 @@ class EdbProcess : public NodeProcessBase {
         if (match) emit(pos);
       }
     }
-    if (!segment->empty()) {
-      EmitSegment(m.from, std::move(segment));
-      NoteSealedSegment(m.from, /*full=*/false);
-    }
+    if (!segment->empty()) EmitSegment(m.from, std::move(segment));
     Emit(m.from, MakeEnd(m.binding));
   }
 
@@ -1237,9 +1153,6 @@ void SinkProcess::OnMessage(const Message& message) {
     case MessageKind::kEnd:
       done_ = true;
       network().RequestStop();
-      break;
-    case MessageKind::kBatch:
-      for (const Message& sub : message.batch()) OnMessage(sub);
       break;
     default:
       MPQE_CHECK(false) << "unexpected " << message.ToString();

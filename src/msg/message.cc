@@ -41,7 +41,6 @@ std::string Message::ToString(const SymbolTable* symbols) const {
     out += StrCat(" binding=", TupleToString(binding, symbols));
   }
   if (IsProtocolMessage(kind)) out += StrCat(" wave=", wave);
-  if (kind == MessageKind::kBatch) out += StrCat(" n=", batch().size());
   if (kind == MessageKind::kTupleSegment) {
     out += StrCat(" rows=", segment().num_rows);
   }
@@ -107,14 +106,6 @@ Message MakeSccConcluded() {
 Message MakeWorkNotice() {
   Message m;
   m.kind = MessageKind::kWorkNotice;
-  return m;
-}
-
-Message MakeBatch(std::vector<Message> messages) {
-  Message m;
-  m.kind = MessageKind::kBatch;
-  m.payload =
-      std::make_shared<const std::vector<Message>>(std::move(messages));
   return m;
 }
 

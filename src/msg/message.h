@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "msg/segment.h"
 #include "relational/tuple.h"
@@ -45,8 +44,10 @@ enum class MessageKind : uint8_t {
   // -- coalesced-graph extensions (footnote 4) ------------------------------
   kSccConcluded = 7,  // leader -> members: protocol succeeded, emit ends
   kWorkNotice = 8,    // member -> leader: external work entered the SCC
-  // -- packaging extension (footnote 2) --------------------------------------
-  kBatch = 9,  // envelope carrying several computation messages
+  // Retired: the footnote-2 envelope that packaged several computation
+  // messages. Kept, like kTuple, so per-kind metric families and dump
+  // kind ids stay stable; no message of this kind is ever sent.
+  kBatch = 9,
   // -- columnar extension (msg/segment.h) ------------------------------------
   kTupleSegment = 10,  // shared handle to a run of answer tuples
 
@@ -84,31 +85,19 @@ struct Message {
   // every member's customers are served; see footnote 4).
   bool flag = false;
 
-  // Indirect payload, shared and type-erased: a kBatch envelope's
-  // std::vector<Message> or a kTupleSegment's TupleSegment (a message
-  // never carries both — the kind discriminates). Null for every other
-  // kind, so protocol/end messages carry one pointer instead of an
-  // embedded vector, and copying a payload-bearing message is a
-  // refcount bump, not a deep copy.
-  std::shared_ptr<const void> payload;
-
-  /// The packaged messages, in send order (footnote 2: "package a set
-  /// of related tuple requests ... the retrieval can be done in one
-  /// scan"). Sub-messages carry the envelope's sender. Requires
-  /// kind == kBatch with a payload.
-  const std::vector<Message>& batch() const {
-    return *static_cast<const std::vector<Message>*>(payload.get());
-  }
+  // kTupleSegment: the shared segment. Null for every other kind, so
+  // protocol/end messages carry one pointer instead of an embedded
+  // vector, and copying a segment message is a refcount bump, not a
+  // deep copy.
+  std::shared_ptr<const TupleSegment> payload;
 
   /// The columnar segment. Requires kind == kTupleSegment.
-  const TupleSegment& segment() const {
-    return *static_cast<const TupleSegment*>(payload.get());
-  }
+  const TupleSegment& segment() const { return *payload; }
 
   /// The segment as a shareable handle (forwarding a segment to
   /// another process is a refcount bump on the same object).
-  std::shared_ptr<const TupleSegment> segment_ptr() const {
-    return std::static_pointer_cast<const TupleSegment>(payload);
+  const std::shared_ptr<const TupleSegment>& segment_ptr() const {
+    return payload;
   }
 
   std::string ToString(const SymbolTable* symbols = nullptr) const;
@@ -123,7 +112,6 @@ Message MakeEndNegative(int64_t wave, bool open_work);
 Message MakeEndConfirmed(int64_t wave, bool open_work);
 Message MakeSccConcluded();
 Message MakeWorkNotice();
-Message MakeBatch(std::vector<Message> messages);
 Message MakeTupleSegment(std::shared_ptr<const TupleSegment> segment);
 
 }  // namespace mpqe

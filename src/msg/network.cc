@@ -55,15 +55,10 @@ uint64_t MessageStats::Total() const {
 }
 
 uint64_t MessageStats::ComputationTotal() const {
-  // Envelopes (batches and segments) are transport, not computation;
-  // their contents count individually (sub-messages are already in
-  // by_kind, segment rows only in segment_rows).
-  return Total() - ProtocolTotal() - Count(MessageKind::kBatch) -
-         Count(MessageKind::kTupleSegment) + segment_rows;
-}
-
-uint64_t MessageStats::PhysicalTotal() const {
-  return Total() - packaged_submessages;
+  // Segments are transport, not computation; their rows count
+  // individually.
+  return Total() - ProtocolTotal() - Count(MessageKind::kTupleSegment) +
+         segment_rows;
 }
 
 uint64_t MessageStats::ProtocolTotal() const {
@@ -105,21 +100,9 @@ void Network::Send(ProcessId from, ProcessId to, Message message) {
   }
   sent_by_kind_[static_cast<size_t>(message.kind)].fetch_add(
       1, std::memory_order_relaxed);
-  // Batches count once physically (above) and per sub-message
-  // logically; segments count once physically and per row logically —
-  // so ComputationTotal() keeps its meaning.
-  if (message.kind == MessageKind::kBatch) {
-    const std::vector<Message>& batch = message.batch();
-    for (const Message& sub : batch) {
-      sent_by_kind_[static_cast<size_t>(sub.kind)].fetch_add(
-          1, std::memory_order_relaxed);
-      if (sub.kind == MessageKind::kTupleSegment) {
-        segment_rows_.fetch_add(sub.segment().num_rows,
-                                std::memory_order_relaxed);
-      }
-    }
-    packaged_submessages_.fetch_add(batch.size(), std::memory_order_relaxed);
-  } else if (message.kind == MessageKind::kTupleSegment) {
+  // Segments count once physically (above) and per row logically, so
+  // ComputationTotal() keeps its meaning.
+  if (message.kind == MessageKind::kTupleSegment) {
     segment_rows_.fetch_add(message.segment().num_rows,
                             std::memory_order_relaxed);
   }
@@ -181,14 +164,6 @@ void Network::Deliver(ProcessId id, const Message& message) {
     event.kind = message.kind;
     if (message.kind == MessageKind::kTupleSegment) {
       event.payload_rows = message.segment().num_rows;
-      event.payload_segments = 1;
-    } else if (message.kind == MessageKind::kBatch) {
-      for (const Message& sub : message.batch()) {
-        if (sub.kind == MessageKind::kTupleSegment) {
-          event.payload_rows += sub.segment().num_rows;
-          ++event.payload_segments;
-        }
-      }
     }
     event.handle_ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -465,8 +440,6 @@ MessageStats Network::stats() const {
   for (size_t k = 0; k < s.by_kind.size(); ++k) {
     s.by_kind[k] = sent_by_kind_[k].load(std::memory_order_relaxed);
   }
-  s.packaged_submessages =
-      packaged_submessages_.load(std::memory_order_relaxed);
   s.segment_rows = segment_rows_.load(std::memory_order_relaxed);
   return s;
 }

@@ -94,9 +94,6 @@ class Process {
 struct MessageStats {
   std::array<uint64_t, static_cast<size_t>(MessageKind::kMessageKindCount)>
       by_kind{};
-  // How many of the per-kind counts above traveled inside batch
-  // envelopes rather than as their own messages.
-  uint64_t packaged_submessages = 0;
   // Answer tuples that traveled inside columnar segments (the
   // by_kind[kTupleSegment] entry counts envelopes, this counts rows).
   uint64_t segment_rows = 0;
@@ -106,15 +103,14 @@ struct MessageStats {
   }
   uint64_t Total() const;
   /// Computation messages only (excludes the Fig. 2 protocol traffic
-  /// and batch/segment envelopes). Sub-messages inside batches and
-  /// rows inside segments are counted individually, so this is the
-  /// *logical* traffic.
+  /// and segment envelopes). Rows inside segments are counted
+  /// individually, so this is the *logical* traffic.
   uint64_t ComputationTotal() const;
   /// Fig. 2 protocol traffic only.
   uint64_t ProtocolTotal() const;
-  /// Physically transmitted messages: envelopes count once, their
-  /// packaged contents not at all (footnote 2's saving).
-  uint64_t PhysicalTotal() const;
+  /// Physically transmitted messages. Every message travels on its
+  /// own, so this equals Total(); kept as the name ledgers report.
+  uint64_t PhysicalTotal() const { return Total(); }
 
   std::string ToString() const;
 };
@@ -227,7 +223,6 @@ class Network {
   std::array<std::atomic<uint64_t>,
              static_cast<size_t>(MessageKind::kMessageKindCount)>
       sent_by_kind_{};
-  std::atomic<uint64_t> packaged_submessages_{0};
   std::atomic<uint64_t> segment_rows_{0};
 
   // Threaded-scheduler shared state.

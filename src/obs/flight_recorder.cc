@@ -185,14 +185,8 @@ void FlightSessionObserver::OnSend(const SendEvent& event) {
   uint8_t kind = 0;
   if (event.message != nullptr) {
     kind = static_cast<uint8_t>(event.message->kind);
-    // Row counts only where they are O(1) to read; batch envelopes
-    // report their sub-message count instead (full rows arrive with
-    // the paired kDeliver record, which the network has already
-    // computed).
     if (event.message->kind == MessageKind::kTupleSegment) {
       rows = ClampU32(event.message->segment().num_rows);
-    } else if (event.message->kind == MessageKind::kBatch) {
-      rows = ClampU32(event.message->batch().size());
     }
   }
   recorder_->RecordEvent(FlightEventType::kSend, query_id_, event.from,

@@ -321,13 +321,6 @@ void MetricsObserver::OnSend(const SendEvent& event) {
     uint64_t rows = event.message->segment().num_rows;
     segment_rows_sent_->Increment(rows);
     segment_rows_->Record(rows);
-  } else if (event.message->kind == MessageKind::kBatch) {
-    for (const Message& sub : event.message->batch()) {
-      if (sub.kind != MessageKind::kTupleSegment) continue;
-      uint64_t rows = sub.segment().num_rows;
-      segment_rows_sent_->Increment(rows);
-      segment_rows_->Record(rows);
-    }
   }
   if (options_.per_arc) PerArcSends(event.from, event.to).Increment();
 }

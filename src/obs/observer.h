@@ -73,13 +73,9 @@ struct DeliverEvent {
   ProcessId from = kNoProcess;
   ProcessId to = kNoProcess;
   MessageKind kind = MessageKind::kRelationRequest;
-  // Answer tuples that traveled inside this message's columnar
-  // segment(s): the segment's row count for kTupleSegment, the sum
-  // over packaged segments for kBatch, 0 otherwise.
+  // Answer tuples that traveled inside this message: the segment's
+  // row count for kTupleSegment, 0 otherwise.
   uint64_t payload_rows = 0;
-  // Columnar segments inside this message: 1 for kTupleSegment, the
-  // packaged-segment count for kBatch, 0 otherwise.
-  uint64_t payload_segments = 0;
   // Wall time the receiver spent inside OnMessage.
   uint64_t handle_ns = 0;
 };

@@ -116,7 +116,7 @@ std::vector<int32_t> ProfileReport::DeviatingNodes(
 }
 
 std::string ProfileReport::ToJson() const {
-  std::string out = "{\n  \"schema\": \"mpqe-profile-v1\",\n";
+  std::string out = "{\n  \"schema\": \"mpqe-profile-v2\",\n";
   if (query_id != 0) out += StrCat("  \"query_id\": ", query_id, ",\n");
   out += "  \"totals\": {";
   out += StrCat("\"fires\": ", total_fires,
@@ -150,8 +150,6 @@ std::string ProfileReport::ToJson() const {
                   ", \"dup_hit_rate\": ", JsonDouble(n.DupHitRate()),
                   ", \"selectivity\": ", JsonDouble(n.Selectivity()),
                   ", \"msgs_in\": ", n.msgs_in, ", \"msgs_out\": ", n.msgs_out,
-                  ", \"batch_envelopes_in\": ", n.batch_envelopes_in,
-                  ", \"batch_envelopes_out\": ", n.batch_envelopes_out,
                   ", \"segments_in\": ", n.segments_in,
                   ", \"segments_out\": ", n.segments_out,
                   ", \"segment_rows_in\": ", n.segment_rows_in,
@@ -223,15 +221,7 @@ void ProfilingObserver::OnSend(const SendEvent& event) {
   if (event.from >= 0) {
     PidStats& s = Stats(event.from);
     ++s.msgs_out;
-    if (event.message->kind == MessageKind::kBatch) {
-      ++s.batch_envelopes_out;
-      for (const Message& sub : event.message->batch()) {
-        if (sub.kind == MessageKind::kTupleSegment) {
-          ++s.segments_out;
-          s.segment_rows_out += sub.segment().num_rows;
-        }
-      }
-    } else if (event.message->kind == MessageKind::kTupleSegment) {
+    if (event.message->kind == MessageKind::kTupleSegment) {
       ++s.segments_out;
       s.segment_rows_out += event.message->segment().num_rows;
     }
@@ -244,10 +234,11 @@ void ProfilingObserver::OnDeliver(const DeliverEvent& event) {
   ++total_delivers_;
   PidStats& s = Stats(event.to);
   ++s.msgs_in;
-  if (event.kind == MessageKind::kBatch) ++s.batch_envelopes_in;
   if (event.kind == MessageKind::kTupleRequest) ++s.requests_in;
-  s.segments_in += event.payload_segments;
-  s.segment_rows_in += event.payload_rows;
+  if (event.kind == MessageKind::kTupleSegment) {
+    ++s.segments_in;
+    s.segment_rows_in += event.payload_rows;
+  }
   // Per-channel FIFO: the oldest in-flight send on this channel is the
   // one just delivered. The delivery *started* handle_ns ago.
   auto it = in_flight_sends_.find({event.from, event.to});
@@ -269,9 +260,8 @@ void ProfilingObserver::OnNodeFire(const NodeFireEvent& event) {
   s.tuples_in += event.tuples_in;
   s.tuples_out += event.tuples_out;
   s.dedup_hits += event.dedup_hits;
-  if (event.trigger == MessageKind::kTupleSegment ||
-      event.trigger == MessageKind::kBatch) {
-    // Batched arrivals: the rows (and the dedup hits their handling
+  if (event.trigger == MessageKind::kTupleSegment) {
+    // Segment arrivals: the rows (and the dedup hits their handling
     // produced) that flow through the whole-segment absorb paths.
     s.batch_rows_in += event.tuples_in;
     s.batch_dedup_hits += event.dedup_hits;
@@ -350,8 +340,6 @@ ProfileReport ProfilingObserver::Finalize() const {
     row.dedup_hits = s.dedup_hits;
     row.msgs_in = s.msgs_in;
     row.msgs_out = s.msgs_out;
-    row.batch_envelopes_in = s.batch_envelopes_in;
-    row.batch_envelopes_out = s.batch_envelopes_out;
     row.segments_in = s.segments_in;
     row.segments_out = s.segments_out;
     row.segment_rows_in = s.segment_rows_in;

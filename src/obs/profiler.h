@@ -4,8 +4,8 @@
 // closes the loop between the §4.3 cost model's order-of-magnitude
 // estimates and what the engine actually did — per node it records
 // tuples consumed/produced, duplicate-elimination hit rate, join
-// selectivity (input vs. output cardinality), messages in/out (and
-// batch envelope counts), wall time spent firing, and queue-wait time
+// selectivity (input vs. output cardinality), messages and segments
+// in/out, wall time spent firing, and queue-wait time
 // (send-to-delivery latency, recovered from the per-channel FIFO
 // pairing of OnSend and OnDeliver); per strong component it records
 // Fig. 2 protocol rounds and the termination tree's depth.
@@ -60,18 +60,16 @@ struct NodeProfile {
   uint64_t dedup_hits = 0;    // arrivals/results rejected by dedup
   uint64_t msgs_in = 0;       // physical deliveries
   uint64_t msgs_out = 0;      // physical sends
-  uint64_t batch_envelopes_in = 0;
-  uint64_t batch_envelopes_out = 0;
-  // Columnar segments (bare kTupleSegment messages plus segments
-  // packaged inside batch envelopes) and the rows they carried.
+  // Columnar segments (kTupleSegment messages) and the rows they
+  // carried.
   uint64_t segments_in = 0;
   uint64_t segments_out = 0;
   uint64_t segment_rows_in = 0;
   uint64_t segment_rows_out = 0;
-  // Rows that arrived in kTupleSegment or kBatch fires (since every
-  // answer row travels in a segment, equal to tuples_in) and the dedup
-  // hits those firings produced — the traffic the vectorized batch
-  // kernels absorb, vs. dedup hits of request-driven joins.
+  // Rows that arrived in kTupleSegment fires (since every answer row
+  // travels in a segment, equal to tuples_in) and the dedup hits those
+  // firings produced — the traffic the vectorized batch kernels
+  // absorb, vs. dedup hits of request-driven joins.
   uint64_t batch_rows_in = 0;
   uint64_t batch_dedup_hits = 0;
   uint64_t fire_ns = 0;        // wall time inside message handling
@@ -145,7 +143,7 @@ struct ProfileReport {
   /// either direction.
   std::vector<int32_t> DeviatingNodes(double deviation_factor) const;
 
-  /// Machine-readable report ("mpqe-profile-v1"; validated by
+  /// Machine-readable report ("mpqe-profile-v2"; validated by
   /// scripts/check_trace.py --profile).
   std::string ToJson() const;
 };
@@ -185,8 +183,6 @@ class ProfilingObserver : public ExecutionObserver {
     uint64_t dedup_hits = 0;
     uint64_t msgs_in = 0;
     uint64_t msgs_out = 0;
-    uint64_t batch_envelopes_in = 0;
-    uint64_t batch_envelopes_out = 0;
     uint64_t segments_in = 0;
     uint64_t segments_out = 0;
     uint64_t segment_rows_in = 0;

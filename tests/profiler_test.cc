@@ -3,7 +3,7 @@
 // per-node attribution on a hand-checkable transitive closure under
 // the deterministic scheduler, schedule invariance of the tuple
 // totals under the threaded scheduler, the database-sized cost model,
-// and the mpqe-profile-v1 JSON shape.
+// and the mpqe-profile-v2 JSON shape.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "obs/explain.h"
 #include "obs/profiler.h"
 #include "sips/cost_model.h"
+#include "workload/generators.h"
 
 namespace mpqe {
 namespace {
@@ -121,6 +122,26 @@ TEST(ProfilerTest, DeterministicTcExactCounts) {
   EXPECT_GT(report.phase_ns[static_cast<size_t>(Phase::kRun)], 0u);
 }
 
+TEST(ProfilerTest, EvaluateMeasuresAllFivePhases) {
+  // One-shot Evaluate runs the plan phases (adornment, graph build)
+  // and the session phases (wiring, run, drain) under one profiler,
+  // and every phase has ended by the time the report is taken.
+  Database db;
+  ASSERT_TRUE(workload::MakeChain(db, "edge", 64).ok());
+  Program program;
+  ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
+  EvaluationOptions options;
+  options.profile = true;
+  auto result = Evaluate(program, db, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_NE(result->profile, nullptr);
+  const std::vector<uint64_t>& phase_ns = result->profile->phase_ns;
+  ASSERT_EQ(phase_ns.size(), static_cast<size_t>(Phase::kPhaseCount));
+  for (size_t i = 0; i < phase_ns.size(); ++i) {
+    EXPECT_GT(phase_ns[i], 0u) << PhaseToString(static_cast<Phase>(i));
+  }
+}
+
 TEST(ProfilerTest, DeterministicTcSccProtocolCounts) {
   auto result = RunProfiled(SchedulerKind::kDeterministic);
   ASSERT_TRUE(result.ok());
@@ -195,7 +216,8 @@ TEST(ProfilerTest, JsonReportShape) {
   auto result = RunProfiled(SchedulerKind::kDeterministic);
   ASSERT_TRUE(result.ok());
   std::string json = result->profile->ToJson();
-  EXPECT_NE(json.find("\"schema\": \"mpqe-profile-v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"mpqe-profile-v2\""), std::string::npos);
+  EXPECT_EQ(json.find("batch_envelopes"), std::string::npos);
   EXPECT_NE(json.find("\"totals\""), std::string::npos);
   EXPECT_NE(json.find("\"nodes\""), std::string::npos);
   EXPECT_NE(json.find("\"sccs\""), std::string::npos);

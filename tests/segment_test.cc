@@ -1,9 +1,10 @@
 // Tests for columnar tuple segments (msg/segment.h), the only wire
 // format for answer tuples: the default row cap computes exactly the
 // relations, duplicate drops and proof trees of the per-tuple wire
-// (cap 1, growth off), across schedulers; segment edge cases (empty,
-// arity 0, flush at the size cap); and shared fan-out (one segment
-// object sent to several consumers without copying rows).
+// (cap 1), across schedulers; a 2-row cap that splits every answer run
+// still matches semi-naive on random programs; segment edge cases
+// (empty, arity 0, flush at the size cap); and shared fan-out (one
+// segment object sent to several consumers without copying rows).
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <string>
 
 #include "baseline/bottom_up.h"
+#include "common/random.h"
 #include "datalog/parser.h"
 #include "engine/evaluator.h"
 #include "msg/segment.h"
@@ -26,7 +28,6 @@ namespace {
 EvaluationOptions PerTuple() {
   EvaluationOptions options;
   options.segment_max_rows = 1;
-  options.segment_max_rows_limit = 0;
   return options;
 }
 
@@ -36,14 +37,12 @@ class SegmentRecorder : public ExecutionObserver {
  public:
   void OnSend(const SendEvent& event) override {
     const Message& m = *event.message;
+    if (m.kind != MessageKind::kTupleSegment) return;
+    const TupleSegment* segment = &m.segment();
     std::lock_guard<std::mutex> lock(mutex_);
-    if (m.kind == MessageKind::kTupleSegment) {
-      Note(m, event.to);
-    } else if (m.kind == MessageKind::kBatch) {
-      for (const Message& sub : m.batch()) {
-        if (sub.kind == MessageKind::kTupleSegment) Note(sub, event.to);
-      }
-    }
+    fanout_[segment].insert(event.to);
+    max_rows_ = std::max(max_rows_, segment->num_rows);
+    min_rows_ = std::min(min_rows_, segment->num_rows);
   }
 
   size_t max_rows() const {
@@ -67,13 +66,6 @@ class SegmentRecorder : public ExecutionObserver {
   }
 
  private:
-  void Note(const Message& m, ProcessId to) {
-    const TupleSegment* segment = m.segment_ptr().get();
-    fanout_[segment].insert(to);
-    max_rows_ = std::max(max_rows_, segment->num_rows);
-    min_rows_ = std::min(min_rows_, segment->num_rows);
-  }
-
   mutable std::mutex mutex_;
   std::map<const TupleSegment*, std::set<ProcessId>> fanout_;
   size_t max_rows_ = 0;
@@ -155,6 +147,8 @@ TEST(SegmentTest, TransitiveClosureMatchesPerTuple) {
   EXPECT_LT(s.PhysicalTotal(), t.PhysicalTotal());
 }
 
+// Batching here is segment batching: the default cap against a 2-row
+// cap that seals every answer run mid-handler.
 TEST(SegmentTest, WorksWithBatchingCoalescingAndSchedulers) {
   Relation truth{0};
   {
@@ -166,7 +160,7 @@ TEST(SegmentTest, WorksWithBatchingCoalescingAndSchedulers) {
     ASSERT_TRUE(t.ok());
     truth = t->goal;
   }
-  for (int batch = 0; batch <= 1; ++batch) {
+  for (size_t cap : {size_t{1024}, size_t{2}}) {
     for (int coalesce = 0; coalesce <= 1; ++coalesce) {
       for (int sched = 0; sched < 3; ++sched) {
         Database db;
@@ -175,20 +169,20 @@ TEST(SegmentTest, WorksWithBatchingCoalescingAndSchedulers) {
         ASSERT_TRUE(
             ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
         EvaluationOptions options;
-        options.batch_messages = batch == 1;
+        options.segment_max_rows = cap;
         options.graph_options.coalesce_nodes = coalesce == 1;
         options.scheduler = static_cast<SchedulerKind>(sched);
         options.seed = 17;
         options.workers = 3;
         auto result = Evaluate(program, db, options);
         ASSERT_TRUE(result.ok())
-            << "batch=" << batch << " coalesce=" << coalesce
+            << "cap=" << cap << " coalesce=" << coalesce
             << " sched=" << sched << ": " << result.status();
         EXPECT_TRUE(result->ended_by_protocol)
-            << "batch=" << batch << " coalesce=" << coalesce
+            << "cap=" << cap << " coalesce=" << coalesce
             << " sched=" << sched;
         EXPECT_TRUE(result->answers == truth)
-            << "batch=" << batch << " coalesce=" << coalesce
+            << "cap=" << cap << " coalesce=" << coalesce
             << " sched=" << sched;
       }
     }
@@ -287,9 +281,6 @@ TEST(SegmentTest, SegmentsRespectTheRowCap) {
     SegmentRecorder recorder;
     EvaluationOptions options;
     options.segment_max_rows = cap;
-    // Pin the adaptive cap: this test asserts the exact fixed cap, so
-    // disable growth toward segment_max_rows_limit.
-    options.segment_max_rows_limit = 0;
     options.observers.push_back(&recorder);
     auto result = Evaluate(program, db, options);
     ASSERT_TRUE(result.ok()) << result.status();
@@ -321,10 +312,10 @@ TEST(SegmentTest, RowCapMustBePositive) {
 TEST(SegmentTest, CapOneMatchesDefaultCapMatrix) {
   // Nonlinear TC on a cycle re-derives heavily, so every cell of the
   // matrix exercises real duplicate traffic. The per-tuple wire (cap
-  // 1, growth off) and the default adaptive cap must produce the same
-  // answer set, the same duplicate-drop count (each context/answer
-  // pair is joined exactly once, whatever the arrival grouping) and
-  // the same lineage record count. Proof trees need unique
+  // 1) and the default cap must produce the same answer set, the same
+  // duplicate-drop count (each context/answer pair is joined exactly
+  // once, whatever the arrival grouping) and the same lineage record
+  // count. Proof trees need unique
   // derivations, so ProofTreesMatchPerTuplePath checks them on chain TC
   // for the same caps and schedulers.
   Relation truth{0};
@@ -377,40 +368,38 @@ TEST(SegmentTest, CapOneMatchesDefaultCapMatrix) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive segment sizing
+// Random-program differential at a 2-row cap
 
-TEST(SegmentTest, AdaptiveCapGrowsTowardLimit) {
-  // Nonlinear TC on a 16-cycle ships long answer runs. With a tiny
-  // starting cap and a higher limit, consecutive full seals must
-  // double the per-destination cap past the start, and no segment may
-  // ever exceed the limit.
-  Database db;
-  ASSERT_TRUE(workload::MakeCycle(db, "edge", 16).ok());
-  Program program;
-  ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-  SegmentRecorder recorder;
-  EvaluationOptions options;
-  options.segment_max_rows = 4;
-  options.segment_max_rows_limit = 32;
-  options.observers.push_back(&recorder);
-  auto result = Evaluate(program, db, options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_GT(recorder.max_rows(), 4u);
-  EXPECT_LE(recorder.max_rows(), 32u);
+// Every generated program, with answers batched into 2-row segments:
+// wherever an open segment, goal replay, union fan-out group or EDB
+// answer run exceeds two rows, the cap seals it mid-handler — a path
+// the default cap never reaches on programs this small.
+class BatchedRandomEquivalence : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BatchedRandomEquivalence, MatchesSemiNaive) {
+  Rng rng(GetParam());
+  workload::RandomProgramOptions options;
+  auto rp = workload::MakeRandomProgram(options, rng);
+  ASSERT_TRUE(rp.ok());
+  auto truth = SemiNaiveBottomUp(rp->unit.program, rp->unit.database);
+  ASSERT_TRUE(truth.ok());
+  EvaluationOptions eval;
+  eval.segment_max_rows = 2;
+  eval.max_messages = 5000000;
+  auto result = Evaluate(rp->unit.program, rp->unit.database, eval);
+  if (!result.ok() &&
+      result.status().code() == StatusCode::kResourceExhausted) {
+    GTEST_SKIP() << "graph blow-up (no coalescing): " << result.status();
+  }
+  ASSERT_TRUE(result.ok()) << result.status() << "\n" << rp->text;
+  EXPECT_TRUE(result->ended_by_protocol) << rp->text;
+  EXPECT_TRUE(result->answers == truth->goal)
+      << rp->text << "\nengine: " << result->answers.ToString()
+      << "\ntruth:  " << truth->goal.ToString();
 }
 
-TEST(SegmentTest, AdaptiveCapRejectsLimitBelowCap) {
-  Database db;
-  ASSERT_TRUE(workload::MakeChain(db, "edge", 4).ok());
-  Program program;
-  ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  EvaluationOptions options;
-  options.segment_max_rows = 64;
-  options.segment_max_rows_limit = 8;  // nonzero but below the cap
-  auto result = Evaluate(program, db, options);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
+INSTANTIATE_TEST_SUITE_P(Seeds, BatchedRandomEquivalence,
+                         ::testing::Range(uint64_t{0}, uint64_t{30}));
 
 // ---------------------------------------------------------------------------
 // Shared fan-out

@@ -45,32 +45,9 @@ struct StreamState {
 class StreamMonitor : public ExecutionObserver {
  public:
   void OnSend(const SendEvent& event) override {
-    Observe(event.to, *event.message);
-  }
-
-  void Observe(ProcessId to, const Message& m) {
-    // Lock once here; batch envelopes recurse via the unlocked helper
-    // (re-locking the non-recursive mutex would self-deadlock).
+    const Message& m = *event.message;
+    ProcessId to = event.to;
     std::lock_guard<std::mutex> lock(mutex_);
-    ObserveLocked(to, m);
-  }
-
-  void ExpectClean(const std::string& context) const {
-    for (const auto& [key, s] : streams_) {
-      EXPECT_EQ(s.tuples_after_end, 0u)
-          << context << ": tuple after end on stream " << key.producer
-          << "->" << key.consumer << " " << TupleToString(key.binding);
-      EXPECT_EQ(s.double_ends, 0u)
-          << context << ": double end on stream " << key.producer << "->"
-          << key.consumer;
-      EXPECT_EQ(s.answers_before_request, 0u)
-          << context << ": answer before request on stream " << key.producer
-          << "->" << key.consumer;
-    }
-  }
-
- private:
-  void ObserveLocked(ProcessId to, const Message& m) {
     switch (m.kind) {
       case MessageKind::kTupleRequest:
         streams_[{to, m.from, m.binding}].requested = true;
@@ -91,18 +68,26 @@ class StreamMonitor : public ExecutionObserver {
         s.ended = true;
         break;
       }
-      case MessageKind::kBatch:
-        for (const Message& sub : m.batch()) {
-          Message stamped = sub;
-          stamped.from = m.from;
-          ObserveLocked(to, stamped);
-        }
-        break;
       default:
         break;
     }
   }
 
+  void ExpectClean(const std::string& context) const {
+    for (const auto& [key, s] : streams_) {
+      EXPECT_EQ(s.tuples_after_end, 0u)
+          << context << ": tuple after end on stream " << key.producer
+          << "->" << key.consumer << " " << TupleToString(key.binding);
+      EXPECT_EQ(s.double_ends, 0u)
+          << context << ": double end on stream " << key.producer << "->"
+          << key.consumer;
+      EXPECT_EQ(s.answers_before_request, 0u)
+          << context << ": answer before request on stream " << key.producer
+          << "->" << key.consumer;
+    }
+  }
+
+ private:
   mutable std::mutex mutex_;
   std::map<StreamKey, StreamState> streams_;
 };
@@ -112,25 +97,21 @@ struct Config {
   SchedulerKind scheduler;
   uint64_t seed;
   bool coalesce;
-  bool batch;
-  // The per-tuple wire: one row per segment (cap 1, growth off).
-  bool per_tuple = false;
+  // Segment row cap: 1 is the per-tuple wire (one row per segment); 2
+  // splits every answer run mid-handler, so rows sealed at the cap
+  // must still precede the stream's end.
+  size_t segment_max_rows = 1024;
 };
 
 std::vector<Config> Configs() {
   return {
-      {"det", SchedulerKind::kDeterministic, 0, false, false},
-      {"det/coalesced", SchedulerKind::kDeterministic, 0, true, false},
-      {"det/batched", SchedulerKind::kDeterministic, 0, false, true},
-      {.name = "det/per-tuple",
-       .scheduler = SchedulerKind::kDeterministic,
-       .seed = 0,
-       .coalesce = false,
-       .batch = false,
-       .per_tuple = true},
-      {"rand7", SchedulerKind::kRandom, 7, false, false},
-      {"rand11/coalesced", SchedulerKind::kRandom, 11, true, false},
-      {"threaded", SchedulerKind::kThreaded, 0, false, false},
+      {"det", SchedulerKind::kDeterministic, 0, false},
+      {"det/coalesced", SchedulerKind::kDeterministic, 0, true},
+      {"det/cap-2", SchedulerKind::kDeterministic, 0, false, 2},
+      {"det/per-tuple", SchedulerKind::kDeterministic, 0, false, 1},
+      {"rand7", SchedulerKind::kRandom, 7, false},
+      {"rand11/coalesced", SchedulerKind::kRandom, 11, true},
+      {"threaded", SchedulerKind::kThreaded, 0, false},
   };
 }
 
@@ -146,11 +127,7 @@ TEST(StreamOrderTest, RecursiveCycleWorkload) {
     options.seed = config.seed;
     options.workers = 3;
     options.graph_options.coalesce_nodes = config.coalesce;
-    options.batch_messages = config.batch;
-    if (config.per_tuple) {
-      options.segment_max_rows = 1;
-      options.segment_max_rows_limit = 0;
-    }
+    options.segment_max_rows = config.segment_max_rows;
     // Guard: a protocol regression must fail fast, not hang the test.
     options.max_messages = 1000000;
     options.observers.push_back(&monitor);
@@ -158,7 +135,7 @@ TEST(StreamOrderTest, RecursiveCycleWorkload) {
     ASSERT_TRUE(result.ok()) << config.name << ": " << result.status();
     EXPECT_TRUE(result->ended_by_protocol) << config.name;
     monitor.ExpectClean(config.name);
-    if (config.per_tuple) {
+    if (config.segment_max_rows == 1) {
       // The per-tuple wire really ships one row per segment.
       EXPECT_EQ(result->message_stats.segment_rows,
                 result->message_stats.Count(MessageKind::kTupleSegment))
@@ -183,11 +160,7 @@ TEST(StreamOrderTest, MutualRecursionWorkload) {
     options.scheduler = config.scheduler;
     options.seed = config.seed;
     options.graph_options.coalesce_nodes = config.coalesce;
-    options.batch_messages = config.batch;
-    if (config.per_tuple) {
-      options.segment_max_rows = 1;
-      options.segment_max_rows_limit = 0;
-    }
+    options.segment_max_rows = config.segment_max_rows;
     // Guard: a protocol regression must fail fast, not hang the test.
     options.max_messages = 1000000;
     options.observers.push_back(&monitor);
