@@ -372,8 +372,11 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
     scoped.lineage->AttachGraph(&graph, &db.symbols());
   }
 
-  Network network;
-  for (ExecutionObserver* o : scoped.list.items()) network.AddObserver(o);
+  // Owned through a pointer so the session's teardown (destroying every
+  // process with its relations and join state) runs inside its own
+  // phase, after the drain.
+  auto network = std::make_unique<Network>();
+  for (ExecutionObserver* o : scoped.list.items()) network->AddObserver(o);
   EngineShared shared;
   shared.graph = &graph;
   shared.db = &db;
@@ -412,7 +415,7 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
     for (NodeId id = 0; id < static_cast<NodeId>(graph.size()); ++id) {
       auto process = MakeNodeProcess(shared, id);
       node_processes.push_back(process.get());
-      ProcessId pid = network.AddProcess(std::move(process));
+      ProcessId pid = network->AddProcess(std::move(process));
       MPQE_CHECK(pid == id);
     }
     size_t goal_arity =
@@ -420,7 +423,7 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
     auto sink = std::make_unique<SinkProcess>(shared.node_pid[graph.root()],
                                               goal_arity);
     sink_ptr = sink.get();
-    shared.sink_pid = network.AddProcess(std::move(sink));
+    shared.sink_pid = network->AddProcess(std::move(sink));
 
     // Engage the Fig. 2 protocol for members of nontrivial SCCs.
     for (NodeId id = 0; id < static_cast<NodeId>(graph.size()); ++id) {
@@ -430,12 +433,12 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
       for (NodeId c : n.bfst_children) children.push_back(shared.node_pid[c]);
       NodeId leader = graph.scc_leader(n.scc_id);
       node_processes[id]->ConfigureTermination(
-          &network, n.is_leader, shared.node_pid[leader],
+          network.get(), n.is_leader, shared.node_pid[leader],
           n.bfst_parent == kNoNode ? kNoProcess
                                    : shared.node_pid[n.bfst_parent],
           std::move(children));
     }
-    network.Start();
+    network->Start();
   }
 
   // Stall heartbeat + watchdog. Configured after wiring so the monitor
@@ -460,7 +463,7 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
       uint64_t delivered_at_dump = 0;
     };
     auto watchdog = std::make_shared<WatchdogState>();
-    network.ConfigureStallMonitor(
+    network->ConfigureStallMonitor(
         interval,
         [&graph, &db, &node_processes, &options, telemetry, query_id,
          watchdog](const StallInfo& info) {
@@ -526,7 +529,7 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
     params.seed = options.seed;
     params.workers = options.workers;
     params.max_messages = options.max_messages;
-    run = network.Run(options.scheduler, params);
+    run = network->Run(options.scheduler, params);
   }
   if (!run.ok()) return run.status();
 
@@ -536,8 +539,8 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
     ScopedPhase drain_phase(scoped.list, Phase::kDrain);
     result.answers = sink_ptr->answers();
     result.ended_by_protocol = sink_ptr->done();
-    result.quiescent_after = network.TotalPending() == 0;
-    result.message_stats = network.stats();
+    result.quiescent_after = network->TotalPending() == 0;
+    result.message_stats = network->stats();
     result.graph_stats = graph.Stats();
     result.delivered = run->delivered;
     for (NodeProcessBase* p : node_processes) {
@@ -556,6 +559,14 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
     if (options.metrics != nullptr) {
       DumpMetrics(options, graph, node_processes, result);
     }
+  }
+  {
+    // Freeing the processes' relations, join contexts and mailboxes is
+    // a real share of the wall time on wide joins. The node process
+    // and sink pointers dangle from here on. Closed before the
+    // profiler's Finalize so the report sees it.
+    ScopedPhase teardown_phase(scoped.list, Phase::kTeardown);
+    network.reset();
   }
   if (scoped.profiler.has_value()) {
     auto report = std::make_shared<ProfileReport>(scoped.profiler->Finalize());

@@ -691,7 +691,10 @@ class EdbProcess : public NodeProcessBase {
 // values of all variables bound after stage k. Arriving subgoal tuples
 // extend every waiting context; new contexts issue tuple requests to
 // the next subgoal. Duplicate contexts and duplicate child tuples are
-// dropped, which is what lets recursive cycles reach a fixpoint.
+// dropped, which is what lets recursive cycles reach a fixpoint. Only
+// the intermediate stages 0..n-1 are stored: a join that completes
+// stage n writes its head row straight into the head relation, which
+// is the final-stage dedup (JoinFinal).
 class RuleProcess : public NodeProcessBase {
  public:
   RuleProcess(const EngineShared& shared, NodeId id)
@@ -708,7 +711,7 @@ class RuleProcess : public NodeProcessBase {
   void AccumulateCounters(EngineCounters& out) const override {
     NodeProcessBase::AccumulateCounters(out);
     out.stored_tuples += head_answers_.size();
-    uint64_t ctx = 0;
+    uint64_t ctx = full_contexts_;
     for (const auto& s : contexts_) ctx += s.size();
     out.contexts += ctx;
     out.duplicate_drops += duplicate_drops_;
@@ -853,20 +856,35 @@ class RuleProcess : public NodeProcessBase {
       stage_width_.push_back(var_slot_.size());
     }
 
-    // Head output plan: constant or bound slot per non-e head position.
+    // Head output plan: where the final-stage join reads each non-e
+    // head position — a constant, a slot of the waiting stage-(n-1)
+    // context, or an answer ordinal of the last subgoal (for the
+    // variables that subgoal binds).
+    const size_t waiting_width = stage_width_[n == 0 ? 0 : n - 1];
     for (size_t pos : gnode().OutputPositions()) {
       const Term& t = rule.head.args[pos];
       if (t.is_constant()) {
-        head_out_.push_back({true, 0, t.constant()});
-      } else {
-        auto it = var_slot_.find(t.var());
-        MPQE_CHECK(it != var_slot_.end())
-            << "unsafe head variable escaped validation";
-        head_out_.push_back({false, it->second, Value()});
+        head_out_.push_back({HeadOut::kConstant, 0, t.constant()});
+        continue;
       }
+      auto it = var_slot_.find(t.var());
+      MPQE_CHECK(it != var_slot_.end())
+          << "unsafe head variable escaped validation";
+      if (it->second < waiting_width) {
+        head_out_.push_back({HeadOut::kContext, it->second, Value()});
+        continue;
+      }
+      const auto& extensions = children_.back().extensions;
+      auto ext = std::find_if(
+          extensions.begin(), extensions.end(),
+          [&](const auto& e) { return e.second == it->second; });
+      MPQE_CHECK(ext != extensions.end());
+      head_out_.push_back({HeadOut::kChild, ext->first, Value()});
     }
+    head_row_.resize(head_out_.size());
+    head_binding_.resize(head_binding_slots_.size());
 
-    contexts_.resize(n + 1);
+    contexts_.resize(n);
     waiting_.resize(n);
     child_reqs_.resize(n + 1);
     ctx_sources_.resize(n);
@@ -894,12 +912,22 @@ class RuleProcess : public NodeProcessBase {
     return b;
   }
 
+  // Whether `values`, an answer of stage `stage`'s child, agrees with
+  // context `ctx` of stage `stage` - 1 on the stage's join checks.
+  bool PassesChecks(size_t stage, const Tuple& ctx, TupleRef values) const {
+    for (const auto& [ordinal, slot] : children_[stage - 1].checks) {
+      if (ctx[slot] != values[ordinal]) return false;
+    }
+    return true;
+  }
+
+  // The intermediate-stage join: context `ctx` of stage `stage` - 1
+  // extended by one answer of that stage's child, or nullopt when a
+  // join check fails.
   std::optional<Tuple> Extend(const Tuple& ctx, size_t stage,
                               TupleRef values) const {
+    if (!PassesChecks(stage, ctx, values)) return std::nullopt;
     const ChildPlan& plan = children_[stage - 1];
-    for (const auto& [ordinal, slot] : plan.checks) {
-      if (ctx[slot] != values[ordinal]) return std::nullopt;
-    }
     Tuple out(stage_width_[stage], Value());
     std::copy(ctx.begin(), ctx.end(), out.begin());
     for (const auto& [ordinal, slot] : plan.extensions) {
@@ -913,7 +941,14 @@ class RuleProcess : public NodeProcessBase {
     head_outstanding_.emplace(m.binding, 0);
     dirty_.push_back(m.binding);
     std::optional<Tuple> ctx0 = BuildStage0(m.binding);
-    if (ctx0.has_value()) AddContext(0, *std::move(ctx0), {});
+    if (ctx0.has_value()) {
+      if (children_.empty()) {
+        // A bodiless rule: the stage-0 context is already the full join.
+        JoinFinal(*ctx0, TupleRef(), kNoLineage);
+      } else {
+        AddContext(0, *std::move(ctx0), {});
+      }
+    }
     FlushEnds();
   }
 
@@ -952,16 +987,30 @@ class RuleProcess : public NodeProcessBase {
     FlushEnds();
   }
 
-  /// Extends every context waiting on this (stage, binding) stream
-  /// with one child answer.
-  void ExtendWaiters(std::vector<Tuple>& waiters, size_t stage, TupleRef values,
-                     uint64_t child_id) {
+  /// Joins one child answer with every context waiting on this
+  /// (stage, binding) stream.
+  void ExtendWaiters(const std::vector<Tuple>& waiters, size_t stage,
+                     TupleRef values, uint64_t child_id) {
     for (size_t i = 0; i < waiters.size(); ++i) {
-      std::optional<Tuple> extended = Extend(waiters[i], stage, values);
-      if (extended.has_value()) {
-        AddContext(stage, *std::move(extended),
-                   SourcesPlus(stage - 1, waiters[i], child_id));
-      }
+      Join(stage, waiters[i], values, child_id);
+    }
+  }
+
+  /// Joins context `ctx` of stage `stage` - 1 with `values`, one answer
+  /// (lineage id `child_id`) of that stage's child. Both arrival orders
+  /// land here: a child answer meeting the waiting contexts
+  /// (ExtendWaiters) and a new context meeting the answers already
+  /// received (AddContext).
+  void Join(size_t stage, const Tuple& ctx, TupleRef values,
+            uint64_t child_id) {
+    if (stage == children_.size()) {
+      JoinFinal(ctx, values, child_id);
+      return;
+    }
+    std::optional<Tuple> extended = Extend(ctx, stage, values);
+    if (extended.has_value()) {
+      AddContext(stage, *std::move(extended),
+                 SourcesPlus(stage - 1, ctx, child_id));
     }
   }
 
@@ -987,13 +1036,16 @@ class RuleProcess : public NodeProcessBase {
   // child tuple id — the ordered (sips-order) input list of the
   // resulting stage-k+1 context. Empty when lineage is off.
   std::vector<uint64_t> SourcesPlus(size_t k, const Tuple& ctx,
-                                    uint64_t child_id) {
+                                    uint64_t child_id) const {
     if (!lineage_on()) return {};
-    std::vector<uint64_t> srcs = ctx_sources_[k][ctx];
+    std::vector<uint64_t> srcs = ctx_sources_[k].at(ctx);
     srcs.push_back(child_id);
     return srcs;
   }
 
+  /// Stores a new context of intermediate stage `k` < n, requests the
+  /// next subgoal's answers for it, and joins it with the answers that
+  /// request has already received.
   void AddContext(size_t k, Tuple ctx, std::vector<uint64_t> srcs) {
     if (!contexts_[k].insert(ctx).second) {
       // First derivation wins for contexts too: an alternative way of
@@ -1001,12 +1053,7 @@ class RuleProcess : public NodeProcessBase {
       ++duplicate_drops_;
       return;
     }
-    size_t n = children_.size();
-    if (k == n) {
-      EmitHead(ctx, srcs);
-      return;
-    }
-    if (lineage_on()) ctx_sources_[k][ctx] = srcs;
+    if (lineage_on()) ctx_sources_[k][ctx] = std::move(srcs);
     size_t stage = k + 1;
     const ChildPlan& plan = children_[k];
     Tuple nb;
@@ -1037,34 +1084,63 @@ class RuleProcess : public NodeProcessBase {
     // per-stage maps at indexes > k, so the arena never grows under
     // this loop and tuple(i) views stay stable.)
     for (size_t i = 0; i < cr.answers.size(); ++i) {
-      std::optional<Tuple> extended = Extend(ctx, stage, cr.answers.tuple(i));
-      if (extended.has_value()) {
-        std::vector<uint64_t> next = srcs;
-        if (lineage_on()) next.push_back(cr.answer_ids[i]);
-        AddContext(stage, *std::move(extended), std::move(next));
-      }
+      Join(stage, ctx, cr.answers.tuple(i),
+           lineage_on() ? cr.answer_ids[i] : kNoLineage);
     }
   }
 
-  void EmitHead(const Tuple& ctx, const std::vector<uint64_t>& srcs) {
-    Tuple out;
-    out.reserve(head_out_.size());
-    for (const HeadOut& h : head_out_) {
-      out.push_back(h.is_constant ? h.constant : ctx[h.slot]);
+  /// The final-stage join: waiting stage-(n-1) context `ctx` meets
+  /// `values`, an answer (lineage id `child_id`) of the last subgoal
+  /// (for a bodiless rule, `ctx` is the stage-0 context and `values`
+  /// is empty). The full context is never built or stored: the head
+  /// relation is the final-stage dedup. Full contexts are unique anyway
+  /// — `ctx` is a prefix of the full context, a request's answers are
+  /// deduplicated, and every answer ordinal that does not extend the
+  /// context is fixed by the binding or by a join check — so an
+  /// alternative derivation can only repeat a head row. The head row,
+  /// its binding and its lineage inputs are written in place into
+  /// reused buffers.
+  void JoinFinal(const Tuple& ctx, TupleRef values, uint64_t child_id) {
+    const size_t n = children_.size();
+    if (n > 0 && !PassesChecks(n, ctx, values)) return;
+    ++full_contexts_;
+    for (size_t i = 0; i < head_out_.size(); ++i) {
+      const HeadOut& h = head_out_[i];
+      switch (h.source) {
+        case HeadOut::kConstant:
+          head_row_[i] = h.constant;
+          break;
+        case HeadOut::kContext:
+          head_row_[i] = ctx[h.index];
+          break;
+        case HeadOut::kChild:
+          head_row_[i] = values[h.index];
+          break;
+      }
     }
-    Relation::InsertResult ins = head_answers_.InsertRow(out);
+    Relation::InsertResult ins = head_answers_.InsertRow(head_row_);
     if (!ins.inserted) {
       ++duplicate_drops_;
       return;
     }
     uint64_t id = head_answers_.row_id(ins.row);
     if (lineage_on()) {
-      // The rule firing: `out` exists because the subgoal tuples in
-      // `srcs` (sips order) joined into a full context.
-      PublishDerive(id, DeriveKind::kRuleFire, trigger_lineage_, srcs.data(),
-                    srcs.size(), out);
+      // The rule firing: the head row exists because the subgoal tuples
+      // (sips order) — the waiting context's inputs, then the last
+      // subgoal's answer — joined into a full context.
+      head_inputs_.clear();
+      if (n > 0) {
+        const std::vector<uint64_t>& ctx_inputs = ctx_sources_[n - 1].at(ctx);
+        head_inputs_.assign(ctx_inputs.begin(), ctx_inputs.end());
+        head_inputs_.push_back(child_id);
+      }
+      PublishDerive(id, DeriveKind::kRuleFire, trigger_lineage_,
+                    head_inputs_.data(), head_inputs_.size(), head_row_);
     }
-    EmitTuple(Pid(gnode().parent), HeadBindingOf(ctx), out, id);
+    for (size_t i = 0; i < head_binding_slots_.size(); ++i) {
+      head_binding_[i] = ctx[head_binding_slots_[i]];
+    }
+    EmitTuple(Pid(gnode().parent), head_binding_, head_row_, id);
   }
 
   void FlushEnds() {
@@ -1083,8 +1159,9 @@ class RuleProcess : public NodeProcessBase {
   }
 
   struct HeadOut {
-    bool is_constant = false;
-    size_t slot = 0;
+    enum Source : uint8_t { kConstant, kContext, kChild };
+    Source source = kConstant;
+    size_t index = 0;  // context slot (kContext) or answer ordinal (kChild)
     Value constant;
   };
 
@@ -1098,7 +1175,10 @@ class RuleProcess : public NodeProcessBase {
 
   // Dynamic state.
   bool activated_ = false;
+  // Intermediate contexts of stages 0..n-1; full contexts are only
+  // counted (JoinFinal).
   std::vector<std::unordered_set<Tuple, TupleHash>> contexts_;
+  uint64_t full_contexts_ = 0;
   std::vector<std::unordered_map<Tuple, std::vector<Tuple>, TupleHash>>
       waiting_;
   std::vector<std::unordered_map<Tuple, ChildReq, TupleHash>> child_reqs_;
@@ -1114,6 +1194,10 @@ class RuleProcess : public NodeProcessBase {
   std::unordered_map<Tuple, int64_t, TupleHash> head_outstanding_;
   std::vector<Tuple> dirty_;
   Relation head_answers_;
+  // JoinFinal's reused per-derivation buffers.
+  Tuple head_row_;
+  Tuple head_binding_;
+  std::vector<uint64_t> head_inputs_;
   int64_t open_feeder_requests_ = 0;
   uint64_t duplicate_drops_ = 0;
 };
@@ -1143,13 +1227,9 @@ void SinkProcess::OnStart() {
 
 void SinkProcess::OnMessage(const Message& message) {
   switch (message.kind) {
-    case MessageKind::kTupleSegment: {
-      const TupleSegment& segment = message.segment();
-      for (size_t r = 0; r < segment.num_rows; ++r) {
-        answers_.Insert(segment.row(r));
-      }
+    case MessageKind::kTupleSegment:
+      answers_.InsertSegment(message.segment());
       break;
-    }
     case MessageKind::kEnd:
       done_ = true;
       network().RequestStop();

@@ -154,6 +154,14 @@ std::string ExplainPlan(const RuleGoalGraph& graph,
                   profile->total_msgs_sent, " msgs, fire ",
                   FmtMs(profile->total_fire_ns), ", wait ",
                   FmtMs(profile->total_queue_wait_ns), "\n");
+    std::string phases;
+    for (size_t i = 0; i < profile->phase_ns.size(); ++i) {
+      if (profile->phase_ns[i] == 0) continue;
+      phases += StrCat(phases.empty() ? "phases: " : ", ",
+                       PhaseToString(static_cast<Phase>(i)), " ",
+                       FmtMs(profile->phase_ns[i]));
+    }
+    if (!phases.empty()) out += phases + "\n";
   }
   return out;
 }

@@ -14,6 +14,8 @@ const char* PhaseToString(Phase phase) {
       return "run";
     case Phase::kDrain:
       return "drain";
+    case Phase::kTeardown:
+      return "teardown";
     case Phase::kPhaseCount:
       break;
   }

@@ -43,7 +43,8 @@ enum class Phase : uint8_t {
   kNetworkWiring = 2,  // process creation + termination configuration
   kRun = 3,            // scheduler loop (bulk of the evaluation)
   kDrain = 4,          // result collection after the run
-  kPhaseCount = 5,
+  kTeardown = 5,       // destroying the session's processes and state
+  kPhaseCount = 6,
 };
 
 const char* PhaseToString(Phase phase);

@@ -143,7 +143,7 @@ struct ProfileReport {
   /// either direction.
   std::vector<int32_t> DeviatingNodes(double deviation_factor) const;
 
-  /// Machine-readable report ("mpqe-profile-v2"; validated by
+  /// Machine-readable report ("mpqe-profile-v3"; validated by
   /// scripts/check_trace.py --profile).
   std::string ToJson() const;
 };

@@ -140,7 +140,8 @@ TEST(MetricsObserverTest, EvaluationFillsRegistry) {
 
   // Every phase ran exactly once.
   for (const char* phase :
-       {"adornment", "graph_build", "network_wiring", "run", "drain"}) {
+       {"adornment", "graph_build", "network_wiring", "run", "drain",
+        "teardown"}) {
     EXPECT_EQ(registry.GetHistogram(StrCat("phase/", phase, "/ns")).count(),
               1u)
         << phase;
@@ -197,6 +198,7 @@ TEST(ObserverTest, PhasesArriveInOrder) {
       {Phase::kNetworkWiring, true}, {Phase::kNetworkWiring, false},
       {Phase::kRun, true},           {Phase::kRun, false},
       {Phase::kDrain, true},         {Phase::kDrain, false},
+      {Phase::kTeardown, true},      {Phase::kTeardown, false},
   };
   EXPECT_EQ(recorder.log(), expected);
 }
@@ -495,6 +497,7 @@ TEST(LoggingObserverTest, LevelNamesResolve) {
 TEST(ObserverTest, EnumNamesAreStable) {
   EXPECT_STREQ(PhaseToString(Phase::kAdornment), "adornment");
   EXPECT_STREQ(PhaseToString(Phase::kDrain), "drain");
+  EXPECT_STREQ(PhaseToString(Phase::kTeardown), "teardown");
   EXPECT_STREQ(NodeRoleToString(NodeRole::kRule), "rule");
   EXPECT_STREQ(
       TerminationEvent::KindToString(TerminationEvent::Kind::kConcluded),

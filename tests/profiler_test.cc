@@ -3,7 +3,7 @@
 // per-node attribution on a hand-checkable transitive closure under
 // the deterministic scheduler, schedule invariance of the tuple
 // totals under the threaded scheduler, the database-sized cost model,
-// and the mpqe-profile-v2 JSON shape.
+// and the mpqe-profile-v3 JSON shape.
 
 #include <gtest/gtest.h>
 
@@ -122,10 +122,11 @@ TEST(ProfilerTest, DeterministicTcExactCounts) {
   EXPECT_GT(report.phase_ns[static_cast<size_t>(Phase::kRun)], 0u);
 }
 
-TEST(ProfilerTest, EvaluateMeasuresAllFivePhases) {
+TEST(ProfilerTest, EvaluateMeasuresAllSixPhases) {
   // One-shot Evaluate runs the plan phases (adornment, graph build)
-  // and the session phases (wiring, run, drain) under one profiler,
-  // and every phase has ended by the time the report is taken.
+  // and the session phases (wiring, run, drain, teardown) under one
+  // profiler, and every phase has ended by the time the report is
+  // taken.
   Database db;
   ASSERT_TRUE(workload::MakeChain(db, "edge", 64).ok());
   Program program;
@@ -216,7 +217,7 @@ TEST(ProfilerTest, JsonReportShape) {
   auto result = RunProfiled(SchedulerKind::kDeterministic);
   ASSERT_TRUE(result.ok());
   std::string json = result->profile->ToJson();
-  EXPECT_NE(json.find("\"schema\": \"mpqe-profile-v2\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"mpqe-profile-v3\""), std::string::npos);
   EXPECT_EQ(json.find("batch_envelopes"), std::string::npos);
   EXPECT_NE(json.find("\"totals\""), std::string::npos);
   EXPECT_NE(json.find("\"nodes\""), std::string::npos);
@@ -260,6 +261,9 @@ TEST(ProfilerTest, ExplainPlanModes) {
   EXPECT_NE(analyzed.find("act:"), std::string::npos);
   EXPECT_NE(analyzed.find("waves 2"), std::string::npos);
   EXPECT_NE(analyzed.find("totals:"), std::string::npos);
+  // Session phases, teardown included, close the footer.
+  EXPECT_NE(analyzed.find("phases: network_wiring "), std::string::npos);
+  EXPECT_NE(analyzed.find(", teardown "), std::string::npos);
 
   // A tight deviation threshold flags at least the recursive goal,
   // whose 8.8x deviation exceeds it.
