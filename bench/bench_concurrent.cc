@@ -166,10 +166,8 @@ int main(int argc, char** argv) {
   }
   const std::string program_text = mpqe::workload::LinearTcProgram(0);
 
-  mpqe::MetricsRegistry metrics;
   mpqe::EngineOptions engine_options;
   engine_options.workers = workers > 0 ? workers : sessions;
-  engine_options.metrics = &metrics;
   engine_options.telemetry = telemetry;
   if (scraping) engine_options.stats_port = 0;  // ephemeral loopback port
   mpqe::Engine engine(engine_options);

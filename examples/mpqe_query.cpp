@@ -52,11 +52,12 @@
 //                      (validate with scripts/check_trace.py --lineage)
 //   --log-level=<l>    engine log level (debug|info|warning|error|off;
 //                      also settable via MPQE_LOG_LEVEL)
-//   --progress-interval-ms=<n>  threaded-scheduler stall heartbeat
 //   --watchdog-ms=<n>  stall-watchdog threshold for the threaded
-//                      scheduler: no delivery progress for n ms
-//                      snapshots a flight-recorder diagnostic bundle
-//                      (0 keeps the engine default of 30s)
+//                      scheduler: every n ms without delivery progress
+//                      logs the stalled queues at WARNING, and each
+//                      stall episode snapshots one flight-recorder
+//                      diagnostic bundle (0 keeps the engine default
+//                      of 30s)
 //   --flight-dump=<f>  after the run, write the engine's flight dump
 //                      (the latest watchdog bundle, or a manual
 //                      snapshot of the black box) as mpqe-flightdump-v1
@@ -68,12 +69,15 @@
 //                      --watchdog-ms to demo/test the watchdog)
 //   --park-ms=<n>      park duration (default 1000)
 
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -81,7 +85,6 @@
 #include "engine/engine.h"
 #include "engine/evaluator.h"
 #include "obs/explain.h"
-#include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/telemetry.h"
 #include "relational/io.h"
@@ -92,6 +95,21 @@ namespace {
 int Fail(const std::string& message) {
   std::cerr << "mpqe_query: " << message << "\n";
   return 1;
+}
+
+// Parses the whole of `text` (the value of numeric flag `flag`) into
+// `out`. Returns the usage error for an empty, malformed, partly
+// numeric or out-of-range value, or "" when `out` was set.
+template <typename T>
+std::string ParseNumberFlag(const std::string& flag, const std::string& text,
+                            T& out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (!text.empty() && ec == std::errc() && ptr == end) return "";
+  return flag +
+         (std::is_floating_point_v<T> ? " expects a number: "
+                                      : " expects an integer: ") +
+         text;
 }
 
 }  // namespace
@@ -113,7 +131,6 @@ int main(int argc, char** argv) {
   std::string why;
   std::string lineage_out;
   std::string log_level;
-  int progress_interval_ms = 0;
   int watchdog_ms = 0;
   std::string flight_dump_out;
   bool park_scc = false;
@@ -125,17 +142,20 @@ int main(int argc, char** argv) {
     auto value = [&arg](const std::string& prefix) {
       return arg.substr(prefix.size());
     };
+    std::string bad_number;  // usage error of a malformed numeric flag
     if (arg.rfind("--strategy=", 0) == 0) {
       strategy = value("--strategy=");
     } else if (arg.rfind("--scheduler=", 0) == 0) {
       scheduler = value("--scheduler=");
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(value("--seed="));
+      bad_number = ParseNumberFlag("--seed", value("--seed="), seed);
     } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = std::stoi(value("--workers="));
+      bad_number = ParseNumberFlag("--workers", value("--workers="), workers);
     } else if (arg.rfind("--repeat=", 0) == 0) {
-      repeat = std::stoi(value("--repeat="));
-      if (repeat < 1) return Fail("--repeat must be >= 1");
+      bad_number = ParseNumberFlag("--repeat", value("--repeat="), repeat);
+      if (bad_number.empty() && repeat < 1) {
+        return Fail("--repeat must be >= 1");
+      }
     } else if (arg == "--coalesce") {
       coalesce = true;
     } else if (arg.rfind("--load=", 0) == 0) {
@@ -158,35 +178,44 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
       metrics_out = value("--metrics-out=");
     } else if (arg.rfind("--slow-query-ms=", 0) == 0) {
-      slow_query_ms = std::stoi(value("--slow-query-ms="));
-      if (slow_query_ms < 0) return Fail("--slow-query-ms must be >= 0");
+      bad_number = ParseNumberFlag("--slow-query-ms",
+                                   value("--slow-query-ms="), slow_query_ms);
+      if (bad_number.empty() && slow_query_ms < 0) {
+        return Fail("--slow-query-ms must be >= 0");
+      }
     } else if (arg.rfind("--profile-out=", 0) == 0) {
       profile_out = value("--profile-out=");
     } else if (arg.rfind("--deviation-factor=", 0) == 0) {
-      deviation_factor = std::stod(value("--deviation-factor="));
+      bad_number = ParseNumberFlag("--deviation-factor",
+                                   value("--deviation-factor="),
+                                   deviation_factor);
     } else if (arg.rfind("--why=", 0) == 0) {
       why = value("--why=");
     } else if (arg.rfind("--lineage-out=", 0) == 0) {
       lineage_out = value("--lineage-out=");
     } else if (arg.rfind("--log-level=", 0) == 0) {
       log_level = value("--log-level=");
-    } else if (arg.rfind("--progress-interval-ms=", 0) == 0) {
-      progress_interval_ms = std::stoi(value("--progress-interval-ms="));
     } else if (arg.rfind("--watchdog-ms=", 0) == 0) {
-      watchdog_ms = std::stoi(value("--watchdog-ms="));
-      if (watchdog_ms < 0) return Fail("--watchdog-ms must be >= 0");
+      bad_number = ParseNumberFlag("--watchdog-ms", value("--watchdog-ms="),
+                                   watchdog_ms);
+      if (bad_number.empty() && watchdog_ms < 0) {
+        return Fail("--watchdog-ms must be >= 0");
+      }
     } else if (arg.rfind("--flight-dump=", 0) == 0) {
       flight_dump_out = value("--flight-dump=");
     } else if (arg == "--park-scc") {
       park_scc = true;
     } else if (arg.rfind("--park-ms=", 0) == 0) {
-      park_ms = std::stoi(value("--park-ms="));
-      if (park_ms < 0) return Fail("--park-ms must be >= 0");
+      bad_number = ParseNumberFlag("--park-ms", value("--park-ms="), park_ms);
+      if (bad_number.empty() && park_ms < 0) {
+        return Fail("--park-ms must be >= 0");
+      }
     } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
       return Fail("unknown option: " + arg);
     } else {
       path = arg;
     }
+    if (!bad_number.empty()) return Fail(bad_number);
   }
   if (path.empty()) return Fail("usage: mpqe_query [options] <file|->");
 
@@ -223,9 +252,7 @@ int main(int argc, char** argv) {
 
   // The engine lifecycle: snapshot the EDB, compile the program into
   // one PreparedQuery (cached), run sessions over it.
-  mpqe::MetricsRegistry engine_metrics;
   mpqe::EngineOptions engine_options;
-  engine_options.metrics = &engine_metrics;
   engine_options.telemetry_options.slow_query_ns =
       static_cast<uint64_t>(slow_query_ms) * 1'000'000;
   mpqe::Engine engine(engine_options);
@@ -261,7 +288,6 @@ int main(int argc, char** argv) {
   bool lineage = !why.empty() || !lineage_out.empty();
   session_options.lineage = lineage;
   session_options.log_level = log_level;
-  session_options.progress_interval_ms = progress_interval_ms;
   session_options.watchdog_stall_ms = watchdog_ms;
   if (park_scc) {
     // Park a member of the first nontrivial SCC — a non-leader where
@@ -349,10 +375,12 @@ int main(int argc, char** argv) {
     std::cerr << "profile written to " << profile_out << "\n";
   }
   std::cerr << result->answers.size() << " answer(s)\n";
-  if (show_stats || repeat > 1) {
+  if ((show_stats || repeat > 1) && engine.telemetry() != nullptr) {
     std::cerr << engine.plan_cache_stats().ToString() << "\n"
               << "session latency: "
-              << engine_metrics.GetHistogram("engine/session_latency_ns")
+              << engine.telemetry()
+                     ->registry()
+                     .GetHistogram("engine/session_latency_ns")
                      .ToString()
               << "\n";
   }

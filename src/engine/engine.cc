@@ -206,7 +206,10 @@ StatusOr<EvaluationResult> QuerySession::Run() {
                            : EdbIndexMode::kLookupOnly);
   latency_ns_ = NowNs() - start;
   snapshot.EndSession(exclusive);
-  engine_->RecordSessionLatency(latency_ns_);
+  if (telemetry != nullptr) {
+    telemetry->registry().GetHistogram("engine/session_latency_ns")
+        .Record(latency_ns_);
+  }
 
   if (options_.flight != nullptr) {
     const uint64_t rows = result.ok() ? result.value().answers.size() : 0;
@@ -260,6 +263,8 @@ Engine::Engine(EngineOptions options)
     registry.GetCounter("plan_cache/hit");
     registry.GetCounter("plan_cache/miss");
     registry.GetCounter("plan_cache/evictions");
+    registry.GetCounter("plan_cache/index_builds_skipped");
+    registry.GetCounter("engine/sessions");
     registry.GetHistogram("engine/prepare_ns");
     registry.GetHistogram("engine/session_latency_ns");
     // The message-layer families too: session registries only merge
@@ -404,18 +409,9 @@ StatusOr<std::shared_ptr<const PreparedQuery>> Engine::PrepareImpl(
   }
   MPQE_RETURN_IF_ERROR(options.Validate());
   const uint64_t start = NowNs();
-  // Counters land in the caller's engine registry (EngineOptions::
-  // metrics) and in the built-in telemetry; either may be absent.
-  auto count = [this](const char* name, uint64_t delta = 1) {
-    if (options_.metrics) options_.metrics->GetCounter(name).Increment(delta);
-    if (telemetry_) telemetry_->registry().GetCounter(name).Increment(delta);
-  };
   auto record_prepare_ns = [this, start] {
     const uint64_t ns = NowNs() - start;
     last_prepare_ns_.store(ns, std::memory_order_relaxed);
-    if (options_.metrics) {
-      options_.metrics->GetHistogram("engine/prepare_ns").Record(ns);
-    }
     if (telemetry_) {
       telemetry_->registry().GetHistogram("engine/prepare_ns").Record(ns);
     }
@@ -430,7 +426,7 @@ StatusOr<std::shared_ptr<const PreparedQuery>> Engine::PrepareImpl(
     if (std::shared_ptr<const PreparedQuery> plan =
             plan_cache_.Lookup(raw_key, /*count_miss=*/false)) {
       record_prepare_ns();
-      count("plan_cache/hit");
+      CountEngineEvent("plan_cache/hit");
       if (flight_) {
         flight_->RecordEvent(FlightEventType::kPlanPrepare, 0, /*a=*/1);
       }
@@ -444,7 +440,7 @@ StatusOr<std::shared_ptr<const PreparedQuery>> Engine::PrepareImpl(
     Status parse_status =
         ParseRulesInto(program_text, parsed, snapshot->db_.symbols());
     if (!parse_status.ok()) {
-      count("plan_cache/miss");
+      CountEngineEvent("plan_cache/miss");
       return parse_status;
     }
     program = &parsed;
@@ -459,12 +455,12 @@ StatusOr<std::shared_ptr<const PreparedQuery>> Engine::PrepareImpl(
     MPQE_ASSIGN_OR_RETURN(
         plan, Compile(snapshot, *program, std::move(canonical_text), options));
     size_t evicted = plan_cache_.Insert(canonical_key, plan);
-    if (evicted > 0) count("plan_cache/evictions", evicted);
+    if (evicted > 0) CountEngineEvent("plan_cache/evictions", evicted);
   }
   if (!raw_key.empty()) plan_cache_.AddAlias(raw_key, canonical_key);
 
   record_prepare_ns();
-  count(hit ? "plan_cache/hit" : "plan_cache/miss");
+  CountEngineEvent(hit ? "plan_cache/hit" : "plan_cache/miss");
   if (flight_) {
     flight_->RecordEvent(FlightEventType::kPlanPrepare, 0,
                          /*a=*/hit ? 1 : 0);
@@ -496,9 +492,8 @@ StatusOr<std::shared_ptr<const PreparedQuery>> Engine::Compile(
   // the relation catalog.
   plan->index_specs_ = ComputeEdbIndexSpecs(*plan->graph_);
   size_t skipped = snapshot->EnsureIndexes(plan->index_specs_);
-  if (skipped > 0 && options_.metrics) {
-    options_.metrics->GetCounter("plan_cache/index_builds_skipped")
-        .Increment(skipped);
+  if (skipped > 0) {
+    CountEngineEvent("plan_cache/index_builds_skipped", skipped);
   }
   plan->cost_params_ =
       CostModelParamsFromDatabase(*plan->program_, snapshot->db());
@@ -512,9 +507,7 @@ StatusOr<std::unique_ptr<QuerySession>> Engine::CreateSession(
     return InvalidArgumentError("CreateSession: plan must not be null");
   }
   MPQE_RETURN_IF_ERROR(options.Validate());
-  if (options_.metrics) {
-    options_.metrics->GetCounter("engine/sessions").Increment();
-  }
+  CountEngineEvent("engine/sessions");
   SessionOptions session_options = options;
   bool plan_reused = false;
   if (telemetry_) {
@@ -563,14 +556,8 @@ std::future<StatusOr<EvaluationResult>> Engine::RunAsync(
   return future;
 }
 
-void Engine::RecordSessionLatency(uint64_t ns) {
-  if (options_.metrics) {
-    options_.metrics->GetHistogram("engine/session_latency_ns").Record(ns);
-  }
-  if (telemetry_) {
-    telemetry_->registry().GetHistogram("engine/session_latency_ns")
-        .Record(ns);
-  }
+void Engine::CountEngineEvent(const char* name, uint64_t delta) {
+  if (telemetry_) telemetry_->registry().GetCounter(name).Increment(delta);
 }
 
 void Engine::HandleFlightDump(const FlightDump& dump) {

@@ -79,23 +79,20 @@ struct EngineOptions {
   // Max resident plans in the LRU plan cache (>= 1).
   size_t plan_cache_capacity = 64;
 
-  // Optional engine-lifetime metrics (not owned): plan_cache/hit,
-  // plan_cache/miss, plan_cache/evictions counters; engine/prepare_ns
-  // and engine/session_latency_ns histograms; engine/sessions counter.
-  // Independent of any per-session SessionOptions::metrics registry
-  // and of the built-in telemetry below.
-  MetricsRegistry* metrics = nullptr;
-
-  // Engine-wide telemetry (DESIGN.md §12): cross-session metric
-  // aggregation, the structured query log, query-id minting, live
-  // gauges. On by default; the switch exists for overhead A/B runs
-  // (bench/bench_concurrent --telemetry=off) — with it off sessions
-  // skip the built-in metrics collection entirely, no query ids are
-  // minted and the stats server cannot start.
+  // Engine-wide telemetry (DESIGN.md §12): the one engine-lifetime
+  // registry (plan_cache/hit, plan_cache/miss, plan_cache/evictions,
+  // plan_cache/index_builds_skipped and engine/sessions counters;
+  // engine/prepare_ns and engine/session_latency_ns histograms;
+  // merged session metrics), the structured query log, query-id
+  // minting, live gauges. On by default; the switch exists for
+  // overhead A/B runs (bench/bench_concurrent --telemetry=off) — with
+  // it off no engine metrics are recorded, sessions skip the built-in
+  // metrics collection entirely, no query ids are minted and the stats
+  // server cannot start.
   bool telemetry = true;
 
-  // Query-log capacity / slow-query threshold / background gauge
-  // sampling interval (see obs/telemetry.h).
+  // Query-log capacity / slow-query threshold / session-metrics
+  // sampling (see obs/telemetry.h).
   TelemetryOptions telemetry_options = {};
 
   // TCP port of the built-in stats endpoint (GET /metrics, /queries,
@@ -320,7 +317,6 @@ class Engine {
   PlanCacheStats plan_cache_stats() const;
 
   int workers() const { return static_cast<int>(workers_.size()); }
-  MetricsRegistry* metrics() const { return options_.metrics; }
 
   /// The engine-wide telemetry (nullptr iff EngineOptions::telemetry
   /// is off): the cross-session registry, the query log, the /metrics
@@ -368,7 +364,9 @@ class Engine {
       const PlanOptions& options);
 
   void WorkerLoop();
-  void RecordSessionLatency(uint64_t ns);
+  /// Bumps an engine counter in the telemetry registry (no-op with
+  /// telemetry off).
+  void CountEngineEvent(const char* name, uint64_t delta = 1);
   /// The session watchdogs' dump sink: serialize once, retain as the
   /// latest dump, persist to debug_dump_dir when set.
   void HandleFlightDump(const FlightDump& dump);

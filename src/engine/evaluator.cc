@@ -52,11 +52,6 @@ Status SessionOptions::Validate() const {
     return InvalidArgumentError(
         StrCat("log_level: ", level.status().message()));
   }
-  if (progress_interval_ms < 0) {
-    return InvalidArgumentError(
-        StrCat("progress_interval_ms: must be >= 0, got ",
-               progress_interval_ms));
-  }
   if (watchdog_stall_ms < 0) {
     return InvalidArgumentError(
         StrCat("watchdog_stall_ms: must be >= 0, got ", watchdog_stall_ms));
@@ -94,9 +89,7 @@ struct ScopedObservers {
       list.Add(&*flight);
     }
     if (options.metrics != nullptr) {
-      MetricsObserver::Options metrics_options;
-      metrics_options.per_arc = options.metrics_per_arc;
-      metrics.emplace(options.metrics, metrics_options);
+      metrics.emplace(options.metrics);
       list.Add(&*metrics);
     }
     if (options.profile) {
@@ -198,7 +191,7 @@ void DumpProfileMetrics(const ProfileReport& report,
   }
 }
 
-// The stall-heartbeat sink: one WARNING line with the nonempty
+// The watchdog's per-tick log: one WARNING line with the nonempty
 // mailboxes grouped by strong component (runs on the monitor thread;
 // MPQE_LOG serializes whole lines).
 void LogStall(const RuleGoalGraph& graph, const StallInfo& info) {
@@ -441,21 +434,15 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
     network->Start();
   }
 
-  // Stall heartbeat + watchdog. Configured after wiring so the monitor
-  // handler can read the node processes' termination state; the
-  // monitor thread only exists while Network::Run executes, so every
-  // capture below outlives it.
+  // Stall watchdog. Configured after wiring so the monitor handler can
+  // read the node processes' termination state; the monitor thread
+  // only exists while Network::Run executes, so every capture below
+  // outlives it. The monitor fires only after a full watchdog_stall_ms
+  // without a delivery, so every tick is past the threshold.
   if (options.scheduler == SchedulerKind::kThreaded &&
-      (options.progress_interval_ms > 0 || options.watchdog_stall_ms > 0)) {
+      options.watchdog_stall_ms > 0) {
     EngineTelemetry* telemetry = options.telemetry;
     const uint64_t query_id = options.query_id;
-    // Report at the finer of the two cadences so a watchdog threshold
-    // is noticed within one interval of being crossed.
-    int interval = options.progress_interval_ms;
-    if (options.watchdog_stall_ms > 0 &&
-        (interval <= 0 || options.watchdog_stall_ms < interval)) {
-      interval = options.watchdog_stall_ms;
-    }
     // One dump per stall episode: a delivery in between starts a new
     // episode (only the monitor thread touches this state).
     struct WatchdogState {
@@ -464,7 +451,7 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
     };
     auto watchdog = std::make_shared<WatchdogState>();
     network->ConfigureStallMonitor(
-        interval,
+        options.watchdog_stall_ms,
         [&graph, &db, &node_processes, &options, telemetry, query_id,
          watchdog](const StallInfo& info) {
           LogStall(graph, info);
@@ -476,26 +463,6 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
                 -1, 0,
                 static_cast<uint32_t>(
                     std::min<int64_t>(info.stalled_ms, UINT32_MAX)));
-          }
-          if (telemetry != nullptr) {
-            // Fold the nonempty mailboxes into per-SCC totals (the
-            // sink pseudo-process has no SCC and is covered by
-            // in_flight).
-            std::map<int64_t, uint64_t> by_scc;
-            for (const auto& [pid, depth] : info.queue_depths) {
-              if (pid < static_cast<ProcessId>(graph.size())) {
-                by_scc[graph.node(pid).scc_id] += depth;
-              }
-            }
-            telemetry->ReportQueueDepths(
-                query_id,
-                std::vector<std::pair<int64_t, uint64_t>>(by_scc.begin(),
-                                                          by_scc.end()),
-                info.in_flight);
-          }
-          if (options.watchdog_stall_ms <= 0 ||
-              info.stalled_ms < options.watchdog_stall_ms) {
-            return;
           }
           if (watchdog->dumped &&
               watchdog->delivered_at_dump == info.delivered) {

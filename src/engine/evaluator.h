@@ -14,10 +14,9 @@
 //
 // Observability (see DESIGN.md § Observability): attach any number of
 // ExecutionObservers via EvaluationOptions::observers — e.g. a
-// TraceExporter for a chrome://tracing timeline, a MessageTrace for a
-// textual send log, or a custom observer for test assertions — and/or
-// point EvaluationOptions::metrics at a MetricsRegistry to collect
-// named counters and histograms:
+// TraceExporter for a chrome://tracing timeline, or a custom observer
+// for test assertions — and/or point EvaluationOptions::metrics at a
+// MetricsRegistry to collect named counters and histograms:
 //   TraceExporter trace;
 //   MetricsRegistry metrics;
 //   options.observers.push_back(&trace);
@@ -112,10 +111,6 @@ struct SessionOptions {
   // per-predicate counters into it. Not owned.
   MetricsRegistry* metrics = nullptr;
 
-  // Record per-arc send counters in `metrics` (cardinality = number
-  // of live graph edges; off by default).
-  bool metrics_per_arc = false;
-
   // Attach a ProfilingObserver for the run and fill
   // EvaluationResult::profile with per-node / per-SCC attribution and
   // §4.3 cost estimates sized from the database (see obs/profiler.h).
@@ -138,13 +133,6 @@ struct SessionOptions {
   // never changes evaluation behavior or results.
   std::string log_level;
 
-  // Stall heartbeat for the threaded scheduler: when > 0 and no
-  // message is delivered for this many milliseconds, log per-SCC queue
-  // depths and in-flight counts (at WARNING, repeating each stalled
-  // interval). 0 disables; other schedulers ignore it (they cannot
-  // stall silently).
-  int progress_interval_ms = 0;
-
   // Engine-minted stable query id (DESIGN.md §12). Nonzero iff the
   // session came from Engine::CreateSession; published to every
   // observer as a SessionStartEvent before any other event, so trace
@@ -154,8 +142,8 @@ struct SessionOptions {
   uint64_t query_id = 0;
 
   // Engine telemetry sink (not owned; set by Engine::CreateSession,
-  // never by callers). When set, the stall heartbeat additionally
-  // publishes per-SCC queue depths as live gauges.
+  // never by callers). When set, the watchdog counts its stalls and
+  // dumps there (watchdog/stalls, watchdog/dumps).
   EngineTelemetry* telemetry = nullptr;
 
   // Flight recorder sink (not owned; set by Engine::CreateSession when
@@ -165,13 +153,14 @@ struct SessionOptions {
   // land in the engine's black box (obs/flight_recorder.h).
   FlightRecorder* flight = nullptr;
 
-  // Stall watchdog (threaded scheduler only): when > 0 and the session
-  // makes no delivery progress for this many milliseconds, build a
-  // FlightDump diagnostic bundle — flight-recorder contents, per-SCC
-  // Fig. 2 protocol state, per-node queue depths — and hand it to
-  // flight_dump_sink (once per stall episode). Builds on the
-  // progress_interval_ms heartbeat; both may be set, and the monitor
-  // runs at the smaller interval. 0 disables.
+  // Stall watchdog (threaded scheduler only; the other schedulers
+  // cannot stall silently): a monitor thread checks delivery progress
+  // every watchdog_stall_ms. On each tick with no delivery for at
+  // least that long it logs the nonempty mailboxes by SCC (WARNING)
+  // and records a kStall flight record; once per stall episode it
+  // builds a FlightDump diagnostic bundle — flight-recorder contents,
+  // per-SCC Fig. 2 protocol state, per-node queue depths — and hands
+  // it to flight_dump_sink. 0 disables.
   int watchdog_stall_ms = 0;
 
   // Receives the watchdog's diagnostic bundle. Called on the monitor

@@ -274,8 +274,8 @@ void MetricsRegistry::Clear() {
 // MetricsObserver
 // ---------------------------------------------------------------------------
 
-MetricsObserver::MetricsObserver(MetricsRegistry* registry, Options options)
-    : registry_(registry), options_(options) {
+MetricsObserver::MetricsObserver(MetricsRegistry* registry)
+    : registry_(registry) {
   for (size_t k = 0; k < sent_by_kind_.size(); ++k) {
     sent_by_kind_[k] = &registry_->GetCounter(
         StrCat("msg/sent/", MessageKindToString(static_cast<MessageKind>(k))));
@@ -303,18 +303,6 @@ Counter& MetricsObserver::PerNodeFires(int32_t node) {
   return *it->second;
 }
 
-Counter& MetricsObserver::PerArcSends(ProcessId from, ProcessId to) {
-  uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(from)) << 32) |
-                 static_cast<uint32_t>(to);
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = arc_sends_.emplace(key, nullptr);
-  if (inserted) {
-    it->second =
-        &registry_->GetCounter(StrCat("arc/", from, "->", to, "/sends"));
-  }
-  return *it->second;
-}
-
 void MetricsObserver::OnSend(const SendEvent& event) {
   sent_by_kind_[static_cast<size_t>(event.message->kind)]->Increment();
   if (event.message->kind == MessageKind::kTupleSegment) {
@@ -322,7 +310,6 @@ void MetricsObserver::OnSend(const SendEvent& event) {
     segment_rows_sent_->Increment(rows);
     segment_rows_->Record(rows);
   }
-  if (options_.per_arc) PerArcSends(event.from, event.to).Increment();
 }
 
 void MetricsObserver::OnDeliver(const DeliverEvent& event) {
@@ -334,7 +321,7 @@ void MetricsObserver::OnNodeFire(const NodeFireEvent& event) {
   fires_->Increment();
   dedup_hits_->Increment(event.dedup_hits);
   tuples_out_->Record(event.tuples_out);
-  if (options_.per_node) PerNodeFires(event.node).Increment();
+  PerNodeFires(event.node).Increment();
 }
 
 void MetricsObserver::OnPhase(const PhaseEvent& event) {

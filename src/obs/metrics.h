@@ -167,22 +167,14 @@ class MetricsRegistry {
 //   msg/delivered           deliveries
 //   msg/handle_ns           histogram of per-message handling time
 //   node/fires              node firings (all nodes)
-//   node/<id>/fires         per-node firings (when per_node)
-//   arc/<from>-><to>/sends  per-arc sends (when per_arc; high card.)
+//   node/<id>/fires         per-node firings
 //   fire/tuples_out         histogram of tuples emitted per firing
 //   dedup/hits              duplicate-elimination rejections
 //   phase/<name>/ns         histogram (single sample) per phase
 //   termination/<event>     protocol events per kind
 class MetricsObserver : public ExecutionObserver {
  public:
-  struct Options {
-    bool per_node = true;
-    bool per_arc = false;  // cardinality = live (from, to) pairs
-  };
-
-  explicit MetricsObserver(MetricsRegistry* registry)
-      : MetricsObserver(registry, Options()) {}
-  MetricsObserver(MetricsRegistry* registry, Options options);
+  explicit MetricsObserver(MetricsRegistry* registry);
 
   void OnSend(const SendEvent& event) override;
   void OnDeliver(const DeliverEvent& event) override;
@@ -192,10 +184,8 @@ class MetricsObserver : public ExecutionObserver {
 
  private:
   Counter& PerNodeFires(int32_t node);
-  Counter& PerArcSends(ProcessId from, ProcessId to);
 
   MetricsRegistry* registry_;
-  Options options_;
 
   // Cached hot-path handles (resolved once in the constructor).
   std::array<Counter*, static_cast<size_t>(MessageKind::kMessageKindCount)>
@@ -211,10 +201,9 @@ class MetricsObserver : public ExecutionObserver {
   Histogram* tuples_out_ = nullptr;
   Histogram* segment_rows_ = nullptr;  // rows per emitted segment
 
-  // Per-node / per-arc handles are created lazily under mutex_.
+  // Per-node handles are created lazily under mutex_.
   std::mutex mutex_;
   std::map<int32_t, Counter*> node_fires_;
-  std::map<uint64_t, Counter*> arc_sends_;
 
   // Phase begin timestamps (phases are serialized; no lock needed).
   std::array<uint64_t,

@@ -1,6 +1,5 @@
 #include "obs/telemetry.h"
 
-#include <chrono>
 #include <utility>
 
 #include "common/string_util.h"
@@ -10,10 +9,6 @@ namespace mpqe {
 Status TelemetryOptions::Validate() const {
   if (query_log_capacity < 1) {
     return InvalidArgumentError("query_log_capacity: must be >= 1");
-  }
-  if (sample_interval_ms < 0) {
-    return InvalidArgumentError(
-        StrCat("sample_interval_ms: must be >= 0, got ", sample_interval_ms));
   }
   return Status::Ok();
 }
@@ -48,16 +43,6 @@ EngineTelemetry::EngineTelemetry(TelemetryOptions options)
   registry_.GetCounter("telemetry/failed_queries");
   registry_.GetHistogram("engine/query_wall_ns");
   registry_.GetGauge("engine/active_sessions");
-  registry_.GetGauge("engine/in_flight_messages");
-}
-
-EngineTelemetry::~EngineTelemetry() {
-  {
-    std::lock_guard<std::mutex> lock(sampler_mutex_);
-    stopping_ = true;
-  }
-  sampler_cv_.notify_all();
-  if (sampler_thread_.joinable()) sampler_thread_.join();
 }
 
 void EngineTelemetry::StartSampling(
@@ -67,22 +52,6 @@ void EngineTelemetry::StartSampling(
     sampler_ = std::move(sampler);
   }
   SampleNow();
-  if (options_.sample_interval_ms > 0 && !sampler_thread_.joinable()) {
-    sampler_thread_ = std::thread([this] { SamplerLoop(); });
-  }
-}
-
-void EngineTelemetry::SamplerLoop() {
-  std::unique_lock<std::mutex> lock(sampler_mutex_);
-  while (!stopping_) {
-    sampler_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.sample_interval_ms),
-        [this] { return stopping_; });
-    if (stopping_) return;
-    lock.unlock();
-    SampleNow();
-    lock.lock();
-  }
 }
 
 void EngineTelemetry::SampleNow() {
@@ -135,54 +104,9 @@ void EngineTelemetry::OnSessionComplete(
   registry_.GetHistogram("engine/query_wall_ns").Record(entry.wall_ns);
   registry_.GetHistogram("engine/query_rows_out").Record(entry.rows_out);
 
-  const uint64_t completed_query = entry.query_id;
   std::lock_guard<std::mutex> lock(mutex_);
   ring_.push_back(std::move(entry));
   while (ring_.size() > options_.query_log_capacity) ring_.pop_front();
-  // A completed session means ITS stall (if any) resolved; other
-  // sessions may still be stalled, so drop only this query's
-  // contribution and re-derive the gauges from what remains.
-  if (stalls_by_query_.erase(completed_query) > 0) {
-    RepublishStallGaugesLocked();
-  }
-}
-
-void EngineTelemetry::ReportQueueDepths(
-    uint64_t query_id,
-    const std::vector<std::pair<int64_t, uint64_t>>& scc_depths,
-    uint64_t in_flight) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (scc_depths.empty() && in_flight == 0) {
-    stalls_by_query_.erase(query_id);
-  } else {
-    stalls_by_query_[query_id] = StallState{scc_depths, in_flight};
-  }
-  RepublishStallGaugesLocked();
-}
-
-void EngineTelemetry::RepublishStallGaugesLocked() {
-  std::map<int64_t, uint64_t> by_scc;
-  uint64_t in_flight = 0;
-  for (const auto& [unused_query, stall] : stalls_by_query_) {
-    for (const auto& [scc, depth] : stall.scc_depths) by_scc[scc] += depth;
-    in_flight += stall.in_flight;
-  }
-  // Zero the gauges of SCCs that were published before but have no
-  // stalled session anymore, so a recovered stall does not pin a stale
-  // snapshot forever.
-  for (int64_t scc : published_sccs_) {
-    if (by_scc.find(scc) == by_scc.end()) {
-      registry_.GetGauge(StrCat("scc/", scc, "/queue_depth")).Set(0.0);
-    }
-  }
-  published_sccs_.clear();
-  for (const auto& [scc, depth] : by_scc) {
-    registry_.GetGauge(StrCat("scc/", scc, "/queue_depth"))
-        .Set(static_cast<double>(depth));
-    published_sccs_.push_back(scc);
-  }
-  registry_.GetGauge("engine/in_flight_messages")
-      .Set(static_cast<double>(in_flight));
 }
 
 std::vector<QueryLogEntry> EngineTelemetry::QueryLog() const {

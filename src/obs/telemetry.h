@@ -10,10 +10,10 @@
 //  * an engine-lifetime MetricsRegistry. Counters and histograms from
 //    each completed session merge in (MetricsRegistry::MergeFrom);
 //    live *gauges* — active sessions, plan-cache size/hit-rate,
-//    worker-pool utilization, per-SCC queue depths from the stall
-//    heartbeat — are written in place and re-sampled by a background
-//    thread at `sample_interval_ms` via the sampler hook the Engine
-//    installs (and once more, synchronously, on every scrape).
+//    worker-pool utilization — are written in place or refreshed by
+//    the sampler hook the Engine installs, which every scrape runs
+//    synchronously (SampleNow). Stalls are not gauges: the session
+//    watchdog's FlightDump (/debug/flight) carries their queue depths.
 //
 //  * a structured query log: a fixed-capacity ring buffer of
 //    QueryLogEntry rows (query id, query text hash, plan reuse, rows
@@ -35,15 +35,11 @@
 #define MPQE_OBS_TELEMETRY_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -58,11 +54,6 @@ struct TelemetryOptions {
   // Sessions whose wall time exceeds this are flagged slow in the
   // query log and counted under telemetry/slow_queries. 0 disables.
   uint64_t slow_query_ns = 100'000'000;  // 100 ms
-
-  // Gauge re-sampling period of the background thread. 0 disables the
-  // thread; gauges are then refreshed only on demand (every scrape
-  // calls SampleNow, so /metrics is never stale either way).
-  int sample_interval_ms = 0;
 
   // Deep per-session metrics (a MetricsObserver on the session's
   // network: per-message counters, handle-time histograms, per-node
@@ -108,7 +99,6 @@ uint64_t HashQueryText(const std::string& text);
 class EngineTelemetry {
  public:
   explicit EngineTelemetry(TelemetryOptions options = {});
-  ~EngineTelemetry();  // stops the sampler thread
 
   EngineTelemetry(const EngineTelemetry&) = delete;
   EngineTelemetry& operator=(const EngineTelemetry&) = delete;
@@ -125,11 +115,12 @@ class EngineTelemetry {
   }
 
   /// Installs the gauge-refresh hook (the Engine's: plan-cache
-  /// size/hit-rate, pool queue depth, utilization) and starts the
-  /// background sampler when sample_interval_ms > 0. Call once.
+  /// size/hit-rate, pool queue depth, utilization) and runs it once.
+  /// Call once.
   void StartSampling(std::function<void(MetricsRegistry&)> sampler);
 
-  /// Runs the sampler hook synchronously (scrape freshness).
+  /// Runs the sampler hook synchronously (every scrape calls this, so
+  /// /metrics is never stale).
   void SampleNow();
 
   /// Session lifecycle: bumps the engine/active_sessions gauge.
@@ -154,17 +145,6 @@ class EngineTelemetry {
   void OnSessionComplete(QueryLogEntry entry,
                          const MetricsRegistry* session_metrics);
 
-  /// Stall-heartbeat sink: publishes per-SCC queue depths and the
-  /// total in-flight count as gauges (scc/<id>/queue_depth,
-  /// engine/in_flight_messages). Stall state is tracked per query so
-  /// concurrent sessions compose: each gauge is the sum over the live
-  /// stalled sessions, and a session completing clears only its own
-  /// contribution (OnSessionComplete matches on query_id).
-  void ReportQueueDepths(
-      uint64_t query_id,
-      const std::vector<std::pair<int64_t, uint64_t>>& scc_depths,
-      uint64_t in_flight);
-
   /// Oldest-to-newest snapshot of the query log ring.
   std::vector<QueryLogEntry> QueryLog() const;
 
@@ -179,19 +159,6 @@ class EngineTelemetry {
   }
 
  private:
-  // One session's latest stall heartbeat.
-  struct StallState {
-    std::vector<std::pair<int64_t, uint64_t>> scc_depths;
-    uint64_t in_flight = 0;
-  };
-
-  void SamplerLoop();
-
-  // Re-derives the stall gauges from stalls_by_query_: per-SCC depth
-  // summed across sessions, SCCs that dropped out zeroed. Caller holds
-  // mutex_.
-  void RepublishStallGaugesLocked();
-
   TelemetryOptions options_;
   MetricsRegistry registry_;
   std::atomic<uint64_t> next_query_id_{1};
@@ -199,21 +166,9 @@ class EngineTelemetry {
   std::atomic<uint64_t> slow_{0};
   std::atomic<uint64_t> sampled_sessions_{0};
 
-  mutable std::mutex mutex_;  // ring + sampler hook + stall state
+  mutable std::mutex mutex_;  // ring + sampler hook
   std::deque<QueryLogEntry> ring_;
   std::function<void(MetricsRegistry&)> sampler_;
-  // Live stall heartbeat per query id, so one session completing (or
-  // recovering) cannot clobber the gauges of another still-stalled
-  // session. published_sccs_ is the set of SCC ids whose gauge is
-  // currently nonzero, so a recovered stall resets its gauges instead
-  // of pinning them.
-  std::map<uint64_t, StallState> stalls_by_query_;
-  std::vector<int64_t> published_sccs_;
-
-  std::mutex sampler_mutex_;
-  std::condition_variable sampler_cv_;
-  bool stopping_ = false;
-  std::thread sampler_thread_;
 };
 
 }  // namespace mpqe

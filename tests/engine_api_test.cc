@@ -164,11 +164,8 @@ TEST(EngineApiTest, ConcurrentPrepareAndRun) {
 TEST(EngineApiTest, PlanCacheHitReturnsSamePlanWithoutCompile) {
   auto facts = Parse(kTcFacts);
   ASSERT_TRUE(facts.ok()) << facts.status();
-  MetricsRegistry metrics;
-  EngineOptions engine_options;
-  engine_options.workers = 2;
-  engine_options.metrics = &metrics;
-  Engine engine(engine_options);
+  Engine engine(EngineOptions{.workers = 2});
+  MetricsRegistry& metrics = engine.telemetry()->registry();
   auto snapshot = engine.Attach(std::move(facts->database));
 
   auto cold = engine.Prepare(snapshot, kTcRules);
@@ -365,11 +362,8 @@ TEST(EngineApiTest, SingleSessionLatencyHistogramRenders) {
   // upper bound — never NaN or zero-on-nonzero-sample).
   auto facts = Parse(kTcFacts);
   ASSERT_TRUE(facts.ok()) << facts.status();
-  MetricsRegistry metrics;
-  EngineOptions engine_options;
-  engine_options.workers = 2;
-  engine_options.metrics = &metrics;
-  Engine engine(engine_options);
+  Engine engine(EngineOptions{.workers = 2});
+  MetricsRegistry& metrics = engine.telemetry()->registry();
   auto snapshot = engine.Attach(std::move(facts->database));
   auto plan = engine.Prepare(snapshot, kTcRules);
   ASSERT_TRUE(plan.ok()) << plan.status();
@@ -390,6 +384,23 @@ TEST(EngineApiTest, SingleSessionLatencyHistogramRenders) {
   // The JSON dump renders too (no empty-histogram regression).
   std::string json = metrics.ToJson();
   EXPECT_NE(json.find("engine/session_latency_ns"), std::string::npos);
+}
+
+TEST(EngineApiTest, CreateSessionCountsIntoTelemetryRegistry) {
+  // engine/sessions counts every CreateSession (run or not) in the one
+  // engine registry /metrics serializes.
+  auto facts = Parse(kTcFacts);
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  Engine engine(EngineOptions{.workers = 2});
+  auto snapshot = engine.Attach(std::move(facts->database));
+  auto plan = engine.Prepare(snapshot, kTcRules);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  constexpr uint64_t kSessions = 3;
+  for (uint64_t i = 0; i < kSessions; ++i) {
+    ASSERT_TRUE(engine.CreateSession(*plan).ok());
+  }
+  MetricsRegistry& registry = engine.telemetry()->registry();
+  EXPECT_EQ(registry.GetCounter("engine/sessions").value(), kSessions);
 }
 
 TEST(EngineApiTest, PreparedQueryExposesPlanArtifacts) {

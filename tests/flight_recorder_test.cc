@@ -330,6 +330,25 @@ TEST(FlightRecorderTest, WatchdogDumpNamesTheParkedScc) {
   // One dump per stall episode, not one per monitor tick: the park
   // lasted ~8 watchdog intervals but each episode dumps once.
   EXPECT_LE(dumps.size(), 2u);
+
+  // The black box holds the stall itself: a kStall record per stalled
+  // monitor tick (aux = cumulative stall age in ms, never below the
+  // watchdog threshold) and exactly one kWatchdogDump record per
+  // delivered dump.
+  size_t stall_records = 0;
+  size_t dump_records = 0;
+  for (const FlightRecord& r : recorder.Snapshot()) {
+    const auto type = static_cast<FlightEventType>(r.type);
+    if (type == FlightEventType::kStall && r.query_id == 5u &&
+        r.aux >= 150u) {
+      ++stall_records;
+    } else if (type == FlightEventType::kWatchdogDump) {
+      EXPECT_EQ(r.query_id, 5u);
+      ++dump_records;
+    }
+  }
+  EXPECT_GE(stall_records, 1u);
+  EXPECT_EQ(dump_records, dumps.size());
 }
 
 TEST(FlightRecorderTest, WatchdogQuietOnHealthyRuns) {

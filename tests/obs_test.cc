@@ -148,27 +148,6 @@ TEST(MetricsObserverTest, EvaluationFillsRegistry) {
   }
 }
 
-TEST(MetricsObserverTest, PerArcCountersMatchTotals) {
-  auto unit = Parse(kTc);
-  ASSERT_TRUE(unit.ok());
-  MetricsRegistry registry;
-  EvaluationOptions options;
-  options.metrics = &registry;
-  options.metrics_per_arc = true;
-  auto result = Evaluate(unit->program, unit->database, options);
-  ASSERT_TRUE(result.ok());
-  uint64_t arc_total = 0;
-  bool saw_arc = false;
-  for (const auto& [name, value] : registry.CounterRows()) {
-    if (name.rfind("arc/", 0) == 0) {
-      saw_arc = true;
-      arc_total += value;
-    }
-  }
-  EXPECT_TRUE(saw_arc);
-  EXPECT_EQ(arc_total, result->message_stats.Total());
-}
-
 // ---------------------------------------------------------------------------
 // Callback ordering contract
 
@@ -184,6 +163,47 @@ class PhaseRecorder : public ExecutionObserver {
  private:
   std::vector<std::pair<Phase, bool>> log_;
 };
+
+// Counts sends and keeps what RecordsEverySend checks: the kind of the
+// first send, and whether a kEnd went back to that send's origin.
+class SendCounter : public ExecutionObserver {
+ public:
+  void OnSend(const SendEvent& event) override {
+    if (sends_ == 0) {
+      first_kind_ = event.message->kind;
+      origin_ = event.from;
+    }
+    ++sends_;
+    if (event.message->kind == MessageKind::kEnd && event.to == origin_) {
+      end_to_origin_ = true;
+    }
+  }
+  uint64_t sends() const { return sends_; }
+  MessageKind first_kind() const { return first_kind_; }
+  bool end_to_origin() const { return end_to_origin_; }
+
+ private:
+  uint64_t sends_ = 0;
+  MessageKind first_kind_ = MessageKind::kEnd;
+  ProcessId origin_ = kNoProcess;
+  bool end_to_origin_ = false;
+};
+
+TEST(ObserverTest, RecordsEverySend) {
+  auto unit = Parse(kTc);
+  ASSERT_TRUE(unit.ok());
+  SendCounter counter;
+  EvaluationOptions options;
+  options.observers.push_back(&counter);
+  auto result = Evaluate(unit->program, unit->database, options);
+  ASSERT_TRUE(result.ok());
+  // OnSend fires once per send the network counts.
+  EXPECT_EQ(counter.sends(), result->message_stats.Total());
+  // The first send is the sink's relation request to the root, and
+  // the top-level end comes back to the sink.
+  EXPECT_EQ(counter.first_kind(), MessageKind::kRelationRequest);
+  EXPECT_TRUE(counter.end_to_origin());
+}
 
 TEST(ObserverTest, PhasesArriveInOrder) {
   auto unit = Parse(kTc);
@@ -490,7 +510,7 @@ TEST(LoggingObserverTest, LevelNamesResolve) {
   options.log_level = "verbose";
   EXPECT_FALSE(options.Validate().ok());
   options.log_level = "info";
-  options.progress_interval_ms = -1;
+  options.watchdog_stall_ms = -1;
   EXPECT_FALSE(options.Validate().ok());
 }
 

@@ -318,8 +318,8 @@ TEST(TelemetryTest, SlowQueryThresholdFlagsAndCounts) {
 }
 
 TEST(TelemetryTest, ConcurrentSessionCompletionsAndGaugeSampling) {
-  // OnSessionStart/Complete from many threads racing SampleNow and
-  // ReportQueueDepths — the TSan case for every telemetry entry point.
+  // OnSessionStart/Complete from many threads racing SampleNow — the
+  // TSan case for every telemetry entry point.
   EngineTelemetry telemetry;
   telemetry.StartSampling([](MetricsRegistry& r) {
     r.GetGauge("engine/workers").Set(4.0);
@@ -333,8 +333,6 @@ TEST(TelemetryTest, ConcurrentSessionCompletionsAndGaugeSampling) {
         telemetry.OnSessionStart();
         telemetry.SampleNow();
         const uint64_t query_id = telemetry.MintQueryId();
-        telemetry.ReportQueueDepths(query_id, {{0, static_cast<uint64_t>(i)}},
-                                    static_cast<uint64_t>(i));
         MetricsRegistry session;
         session.GetCounter("msg/delivered").Increment(1);
         QueryLogEntry entry;
@@ -351,41 +349,8 @@ TEST(TelemetryTest, ConcurrentSessionCompletionsAndGaugeSampling) {
             static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_DOUBLE_EQ(
       telemetry.registry().GetGauge("engine/active_sessions").value(), 0.0);
-  // Every stalled session completed, so no stall contribution remains.
-  EXPECT_DOUBLE_EQ(
-      telemetry.registry().GetGauge("engine/in_flight_messages").value(), 0.0);
-  EXPECT_DOUBLE_EQ(
-      telemetry.registry().GetGauge("scc/0/queue_depth").value(), 0.0);
-}
-
-TEST(TelemetryTest, ConcurrentStallsComposeAndClearPerQuery) {
-  // Two sessions stalled at once: gauges are the sum of both, and a
-  // fast session completing clears only ITS contribution instead of
-  // clobbering the other session's live heartbeat.
-  EngineTelemetry telemetry;
-  MetricsRegistry& registry = telemetry.registry();
-  telemetry.ReportQueueDepths(1, {{7, 10}}, 10);
-  telemetry.ReportQueueDepths(2, {{7, 5}, {9, 3}}, 8);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("scc/7/queue_depth").value(), 15.0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("scc/9/queue_depth").value(), 3.0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("engine/in_flight_messages").value(),
-                   18.0);
-
-  QueryLogEntry done;
-  done.query_id = 1;
-  telemetry.OnSessionComplete(std::move(done), nullptr);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("scc/7/queue_depth").value(), 5.0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("scc/9/queue_depth").value(), 3.0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("engine/in_flight_messages").value(),
-                   8.0);
-
-  // Query 2 recovering (empty heartbeat) zeroes what it published
-  // rather than pinning a stale snapshot.
-  telemetry.ReportQueueDepths(2, {}, 0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("scc/7/queue_depth").value(), 0.0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("scc/9/queue_depth").value(), 0.0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("engine/in_flight_messages").value(),
-                   0.0);
+  EXPECT_DOUBLE_EQ(telemetry.registry().GetGauge("engine/workers").value(),
+                   4.0);
 }
 
 TEST(TelemetryTest, QueueWaitAggregatesFromSessionRegistry) {
