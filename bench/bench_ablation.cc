@@ -1,11 +1,7 @@
-// E15 (ablation) — design choices DESIGN.md calls out, toggled one at
-// a time on the same bound transitive-closure workload:
-//
-//   * EDB hash indexes (class c/d selections probe vs scan);
-//   * the information passing strategy (greedy vs left-to-right vs
-//     qual-tree vs none);
-//   * coalescing appears in bench_coalescing; segment sizing in
-//     bench_duplicate_elimination (BM_DedupSegmentedVsPerTuple).
+// E15 (ablation) — the information passing strategy (greedy vs
+// left-to-right vs qual-tree vs none), toggled on the same query.
+// Coalescing appears in bench_coalescing; segment sizing in
+// bench_duplicate_elimination (BM_DedupSegmentedVsPerTuple).
 //
 // Answers are identical across all configurations; the counters and
 // times isolate each choice's contribution.
@@ -14,34 +10,11 @@
 
 #include "common/logging.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "workload/generators.h"
 
 namespace mpqe {
 namespace {
-
-void RunIndexed(benchmark::State& state, bool use_indexes) {
-  int64_t n = state.range(0);
-  size_t answers = 0;
-  for (auto _ : state) {
-    Database db;
-    MPQE_CHECK(workload::MakeChain(db, "edge", n).ok());
-    Program program;
-    MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    EvaluationOptions options;
-    options.use_edb_indexes = use_indexes;
-    auto result = Evaluate(program, db, options);
-    MPQE_CHECK(result.ok()) << result.status();
-    answers = result->answers.size();
-  }
-  state.SetLabel(use_indexes ? "indexed" : "scan");
-  state.counters["answers"] = static_cast<double>(answers);
-}
-
-void BM_EdbIndexed(benchmark::State& state) { RunIndexed(state, true); }
-void BM_EdbScan(benchmark::State& state) { RunIndexed(state, false); }
-BENCHMARK(BM_EdbIndexed)->Arg(128)->Arg(512);
-BENCHMARK(BM_EdbScan)->Arg(128)->Arg(512);
 
 // Strategy ablation on the paper's P1: the same query under every
 // strategy; stored tuples show what each strategy's restriction buys.
@@ -56,9 +29,10 @@ void BM_StrategyAblation(benchmark::State& state) {
     MPQE_CHECK(workload::MakeChain(db, "r", 48).ok());
     Program program;
     MPQE_CHECK(ParseInto(workload::P1Program(0), program, db).ok());
-    EvaluationOptions options;
+    PlanOptions options;
     options.strategy = name;
-    auto r = Evaluate(program, db, options);
+    EngineFixture fixture(std::move(db));
+    auto r = fixture.Run(program, options);
     MPQE_CHECK(r.ok()) << r.status();
     result = *std::move(r);
   }

@@ -15,7 +15,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "graph/rule_goal_graph.h"
 #include "sips/strategy.h"
 #include "workload/generators.h"
@@ -75,9 +75,10 @@ void BM_SharedSubqueries(benchmark::State& state) {
     MPQE_CHECK(workload::MakeChain(db, "edge", 64).ok());
     Program program;
     MPQE_CHECK(ParseInto(text, program, db).ok());
-    EvaluationOptions options;
+    PlanOptions options;
     options.graph_options.coalesce_nodes = coalesce;
-    auto r = Evaluate(program, db, options);
+    EngineFixture fixture(std::move(db));
+    auto r = fixture.Run(program, options);
     MPQE_CHECK(r.ok()) << r.status();
     result = *std::move(r);
   }
@@ -104,9 +105,10 @@ void BM_ProtocolOverhead(benchmark::State& state) {
     MPQE_CHECK(workload::MakeCycle(db, "edge", n).ok());
     Program program;
     MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    EvaluationOptions options;
+    PlanOptions options;
     options.graph_options.coalesce_nodes = coalesce;
-    auto r = Evaluate(program, db, options);
+    EngineFixture fixture(std::move(db));
+    auto r = fixture.Run(program, options);
     MPQE_CHECK(r.ok()) << r.status();
     result = *std::move(r);
   }

@@ -10,7 +10,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -26,7 +26,8 @@ void BM_DedupVsDensity(benchmark::State& state) {
     MPQE_CHECK(workload::MakeRandomGraph(db, "edge", n, degree, rng).ok());
     Program program;
     MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    auto r = Evaluate(program, db);
+    EngineFixture fixture(std::move(db));
+    auto r = fixture.Run(program);
     MPQE_CHECK(r.ok()) << r.status();
     result = *std::move(r);
   }
@@ -52,7 +53,8 @@ void BM_DedupOnCycles(benchmark::State& state) {
     MPQE_CHECK(workload::MakeCycle(db, "edge", n).ok());
     Program program;
     MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    auto r = Evaluate(program, db);
+    EngineFixture fixture(std::move(db));
+    auto r = fixture.Run(program);
     MPQE_CHECK(r.ok());
     result = *std::move(r);
   }
@@ -78,7 +80,8 @@ void BM_DedupNonlinearVsLinear(benchmark::State& state) {
     std::string text = nonlinear ? workload::NonlinearTcProgram(0)
                                  : workload::LinearTcProgram(0);
     MPQE_CHECK(ParseInto(text, program, db).ok());
-    auto r = Evaluate(program, db);
+    EngineFixture fixture(std::move(db));
+    auto r = fixture.Run(program);
     MPQE_CHECK(r.ok());
     result = *std::move(r);
   }
@@ -106,9 +109,10 @@ void BM_DedupSegmentedVsPerTuple(benchmark::State& state) {
     MPQE_CHECK(workload::MakeCycle(db, "edge", n).ok());
     Program program;
     MPQE_CHECK(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-    EvaluationOptions options;
+    SessionOptions options;
     if (!segmented) options.segment_max_rows = 1;
-    auto r = Evaluate(program, db, options);
+    EngineFixture fixture(std::move(db));
+    auto r = fixture.Run(program, {}, options);
     MPQE_CHECK(r.ok());
     result = *std::move(r);
   }

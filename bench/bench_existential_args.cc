@@ -11,7 +11,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 
 namespace mpqe {
 namespace {
@@ -35,9 +35,10 @@ void RunFanOut(benchmark::State& state, const char* strategy) {
   for (auto _ : state) {
     auto unit = Parse(text);
     MPQE_CHECK(unit.ok());
-    EvaluationOptions options;
+    PlanOptions options;
     options.strategy = strategy;
-    auto r = Evaluate(unit->program, unit->database, options);
+    EngineFixture fixture(std::move(unit->database));
+    auto r = fixture.Run(unit->program, options);
     MPQE_CHECK(r.ok()) << r.status();
     result = *std::move(r);
   }
@@ -76,9 +77,10 @@ void RunPipelined(benchmark::State& state, const char* strategy) {
   for (auto _ : state) {
     auto unit = Parse(text);
     MPQE_CHECK(unit.ok());
-    EvaluationOptions options;
+    PlanOptions options;
     options.strategy = strategy;
-    auto r = Evaluate(unit->program, unit->database, options);
+    EngineFixture fixture(std::move(unit->database));
+    auto r = fixture.Run(unit->program, options);
     MPQE_CHECK(r.ok()) << r.status();
     result = *std::move(r);
   }

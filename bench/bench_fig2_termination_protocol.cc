@@ -9,7 +9,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -21,10 +21,11 @@ EvaluationResult RunCycleTc(int64_t n, SchedulerKind scheduler,
   MPQE_CHECK(workload::MakeCycle(db, "edge", n).ok());
   Program program;
   MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  EvaluationOptions options;
+  SessionOptions options;
   options.scheduler = scheduler;
   options.seed = seed;
-  auto result = Evaluate(program, db, options);
+  EngineFixture fixture(std::move(db));
+  auto result = fixture.Run(program, {}, options);
   MPQE_CHECK(result.ok()) << result.status();
   MPQE_CHECK(result->ended_by_protocol);
   return *std::move(result);
@@ -81,7 +82,8 @@ void BM_ProtocolNestedSccs(benchmark::State& state) {
     MPQE_CHECK(workload::MakeChain(db, "edge", 12).ok());
     Program program;
     MPQE_CHECK(ParseInto(text, program, db).ok());
-    auto r = Evaluate(program, db);
+    EngineFixture fixture(std::move(db));
+    auto r = fixture.Run(program);
     MPQE_CHECK(r.ok()) << r.status();
     result = *std::move(r);
     benchmark::DoNotOptimize(result);

@@ -10,7 +10,7 @@
 #include "baseline/top_down_sld.h"
 #include "common/logging.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -25,7 +25,8 @@ void BM_EngineLeftRecursiveTc(benchmark::State& state) {
     Program program;
     MPQE_CHECK(
         ParseInto(workload::LeftRecursiveTcProgram(0), program, db).ok());
-    auto result = Evaluate(program, db);
+    EngineFixture fixture(std::move(db));
+    auto result = fixture.Run(program);
     MPQE_CHECK(result.ok()) << result.status();
     MPQE_CHECK(result->ended_by_protocol);
     answers = result->answers.size();
@@ -108,7 +109,8 @@ void BM_EngineCyclicData(benchmark::State& state) {
     MPQE_CHECK(workload::MakeCycle(db, "edge", n).ok());
     Program program;
     MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    auto result = Evaluate(program, db);
+    EngineFixture fixture(std::move(db));
+    auto result = fixture.Run(program);
     MPQE_CHECK(result.ok());
     answers = result->answers.size();
   }
@@ -128,7 +130,8 @@ void BM_EngineNonlinearTc(benchmark::State& state) {
     MPQE_CHECK(workload::MakeChain(db, "edge", n).ok());
     Program program;
     MPQE_CHECK(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-    auto r = Evaluate(program, db);
+    EngineFixture fixture(std::move(db));
+    auto r = fixture.Run(program);
     MPQE_CHECK(r.ok()) << r.status();
     result = *std::move(r);
   }
@@ -147,7 +150,8 @@ void BM_EngineLinearTcReference(benchmark::State& state) {
     MPQE_CHECK(workload::MakeChain(db, "edge", n).ok());
     Program program;
     MPQE_CHECK(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    auto r = Evaluate(program, db);
+    EngineFixture fixture(std::move(db));
+    auto r = fixture.Run(program);
     MPQE_CHECK(r.ok());
     result = *std::move(r);
   }

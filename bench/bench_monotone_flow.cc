@@ -19,7 +19,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "relational/operators.h"
 
 namespace mpqe {
@@ -100,7 +100,8 @@ void RunEngine(benchmark::State& state, const std::string& facts,
   for (auto _ : state) {
     auto unit = Parse(StrCat(facts, rule));
     MPQE_CHECK(unit.ok());
-    auto r = Evaluate(unit->program, unit->database);
+    EngineFixture fixture(std::move(unit->database));
+    auto r = fixture.Run(unit->program);
     MPQE_CHECK(r.ok()) << r.status();
     result = *std::move(r);
   }
@@ -132,9 +133,10 @@ void BM_R3EngineNoSips(benchmark::State& state) {
   for (auto _ : state) {
     auto unit = Parse(StrCat(R3Facts(m), kR3Rule));
     MPQE_CHECK(unit.ok());
-    EvaluationOptions options;
+    PlanOptions options;
     options.strategy = "no_sips";
-    auto r = Evaluate(unit->program, unit->database, options);
+    EngineFixture fixture(std::move(unit->database));
+    auto r = fixture.Run(unit->program, options);
     MPQE_CHECK(r.ok()) << r.status();
     result = *std::move(r);
   }

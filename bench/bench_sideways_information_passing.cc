@@ -18,7 +18,7 @@
 #include "baseline/magic_sets.h"
 #include "common/logging.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "sips/strategy.h"
 #include "workload/generators.h"
 
@@ -44,7 +44,8 @@ void BM_EngineGreedy(benchmark::State& state) {
   EvaluationResult result;
   for (auto _ : state) {
     Workload w = ChainTc(n);
-    auto r = Evaluate(w.program, w.db);
+    EngineFixture fixture(std::move(w.db));
+    auto r = fixture.Run(w.program);
     MPQE_CHECK(r.ok()) << r.status();
     result = *std::move(r);
   }
@@ -62,9 +63,10 @@ void BM_EngineNoSips(benchmark::State& state) {
   EvaluationResult result;
   for (auto _ : state) {
     Workload w = ChainTc(n);
-    EvaluationOptions options;
+    PlanOptions options;
     options.strategy = "no_sips";
-    auto r = Evaluate(w.program, w.db, options);
+    EngineFixture fixture(std::move(w.db));
+    auto r = fixture.Run(w.program, options);
     MPQE_CHECK(r.ok()) << r.status();
     result = *std::move(r);
   }
@@ -138,9 +140,10 @@ void BM_TreeBoundQuery(benchmark::State& state) {
     Program program;
     // Query from an internal node one level below the root.
     MPQE_CHECK(ParseInto(workload::LinearTcProgram(1), program, db).ok());
-    EvaluationOptions options;
+    PlanOptions options;
     options.strategy = strategy;
-    auto r = Evaluate(program, db, options);
+    EngineFixture fixture(std::move(db));
+    auto r = fixture.Run(program, options);
     MPQE_CHECK(r.ok()) << r.status();
     result = *std::move(r);
   }

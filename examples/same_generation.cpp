@@ -13,7 +13,7 @@
 
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine/engine.h"
 #include "workload/generators.h"
 
 namespace {
@@ -53,9 +53,21 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    mpqe::EvaluationOptions options;
+    mpqe::Engine engine;
+    auto snapshot = engine.Attach(std::move(db));
+    mpqe::PlanOptions options;
     options.strategy = strategy;
-    auto result = mpqe::Evaluate(program, db, options);
+    auto plan = engine.Prepare(snapshot, program, options);
+    if (!plan.ok()) {
+      std::cerr << plan.status() << "\n";
+      return 1;
+    }
+    auto session = engine.CreateSession(*plan);
+    if (!session.ok()) {
+      std::cerr << session.status() << "\n";
+      return 1;
+    }
+    auto result = (*session)->Run();
     if (!result.ok()) {
       std::cerr << result.status() << "\n";
       return 1;

@@ -14,12 +14,40 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine/engine.h"
 #include "obs/trace_exporter.h"
 #include "workload/generators.h"
+
+namespace {
+
+using PlanPtr = std::shared_ptr<const mpqe::PreparedQuery>;
+
+// Attaches a directed n-cycle as a fresh EDB snapshot and prepares the
+// right-linear tc(0, W) over it.
+mpqe::StatusOr<PlanPtr> PrepareCycleTc(mpqe::Engine& engine, int64_t n) {
+  mpqe::Database db;
+  MPQE_RETURN_IF_ERROR(mpqe::workload::MakeCycle(db, "edge", n));
+  mpqe::Program program;
+  MPQE_RETURN_IF_ERROR(
+      mpqe::ParseInto(mpqe::workload::LinearTcProgram(0), program, db));
+  auto snapshot = engine.Attach(std::move(db));
+  return engine.Prepare(snapshot, program);
+}
+
+// One session over `plan`.
+mpqe::StatusOr<mpqe::EvaluationResult> RunTc(
+    mpqe::Engine& engine, const PlanPtr& plan,
+    const mpqe::SessionOptions& options = {}) {
+  MPQE_ASSIGN_OR_RETURN(std::unique_ptr<mpqe::QuerySession> session,
+                        engine.CreateSession(plan, options));
+  return session->Run();
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   int64_t max_n = 32;
@@ -33,19 +61,18 @@ int main(int argc, char** argv) {
     }
   }
 
+  mpqe::Engine engine;
   std::cout << "cycle-graph transitive closure tc(0, W), deterministic "
                "schedule:\n";
   std::cout << "  n   answers  tuple_msgs  dup_drops  waves  end_req  "
                "end_neg  end_conf\n";
   for (int64_t n = 4; n <= max_n; n *= 2) {
-    mpqe::Database db;
-    if (!mpqe::workload::MakeCycle(db, "edge", n).ok()) return 1;
-    mpqe::Program program;
-    if (!mpqe::ParseInto(mpqe::workload::LinearTcProgram(0), program, db)
-             .ok()) {
+    auto plan = PrepareCycleTc(engine, n);
+    if (!plan.ok()) {
+      std::cerr << plan.status() << "\n";
       return 1;
     }
-    auto result = mpqe::Evaluate(program, db);
+    auto result = RunTc(engine, *plan);
     if (!result.ok()) {
       std::cerr << result.status() << "\n";
       return 1;
@@ -68,18 +95,16 @@ int main(int argc, char** argv) {
 
   std::cout << "\nsame query (n=16) under random schedules — the protocol "
                "concludes correctly on every interleaving:\n";
+  auto plan16 = PrepareCycleTc(engine, 16);
+  if (!plan16.ok()) {
+    std::cerr << plan16.status() << "\n";
+    return 1;
+  }
   for (uint64_t seed = 0; seed < 5; ++seed) {
-    mpqe::Database db;
-    if (!mpqe::workload::MakeCycle(db, "edge", 16).ok()) return 1;
-    mpqe::Program program;
-    if (!mpqe::ParseInto(mpqe::workload::LinearTcProgram(0), program, db)
-             .ok()) {
-      return 1;
-    }
-    mpqe::EvaluationOptions options;
+    mpqe::SessionOptions options;
     options.scheduler = mpqe::SchedulerKind::kRandom;
     options.seed = seed;
-    auto result = mpqe::Evaluate(program, db, options);
+    auto result = RunTc(engine, *plan16, options);
     if (!result.ok()) {
       std::cerr << result.status() << "\n";
       return 1;
@@ -91,26 +116,13 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_path.empty()) {
-    mpqe::Database db;
-    if (!mpqe::workload::MakeCycle(db, "edge", 16).ok()) return 1;
-    mpqe::Program program;
-    if (!mpqe::ParseInto(mpqe::workload::LinearTcProgram(0), program, db)
-             .ok()) {
-      return 1;
-    }
-    if (!program.Validate(&db).ok()) return 1;
-    auto strategy = mpqe::MakeGreedyStrategy();
-    auto graph = mpqe::RuleGoalGraph::Build(program, *strategy);
-    if (!graph.ok()) {
-      std::cerr << graph.status() << "\n";
-      return 1;
-    }
+    // The n=16 plan again, deterministic, with a trace exporter.
+    const mpqe::PreparedQuery& plan = **plan16;
     mpqe::TraceExporter exporter;
-    exporter.AttachGraph(graph->get(), &db.symbols());
-    mpqe::EvaluationOptions options;
-    options.skip_validation = true;
+    exporter.AttachGraph(&plan.graph(), &plan.snapshot()->db().symbols());
+    mpqe::SessionOptions options;
     options.observers.push_back(&exporter);
-    auto result = mpqe::EvaluateWithGraph(**graph, db, options);
+    auto result = RunTc(engine, *plan16, options);
     if (!result.ok()) {
       std::cerr << result.status() << "\n";
       return 1;

@@ -2,7 +2,7 @@
 """Validate observability JSON artifacts.
 
 Usage: check_trace.py trace.json            # Chrome trace (TraceExporter)
-       check_trace.py --profile profile.json  # mpqe-profile-v3 (profiler)
+       check_trace.py --profile profile.json  # mpqe-profile-v4 (profiler)
        check_trace.py --lineage lineage.json  # mpqe-lineage-v1 (provenance)
        check_trace.py --prometheus scrape.txt [--queries querylog.json]
                                               # /metrics exposition + query log
@@ -22,11 +22,11 @@ Trace checks (stdlib only, exit 0 = valid, 1 = invalid):
     delivery);
   * metadata ("M") names every thread that appears in events.
 
-Profile checks (--profile, schema "mpqe-profile-v3"):
+Profile checks (--profile, schema "mpqe-profile-v4"):
   * top-level schema marker, totals, phases, nodes, sccs all present;
-  * every phase key names a known evaluator phase with a non-negative
-    int, and the session phases (network_wiring, run, drain, teardown)
-    are all reported;
+  * every phase key names a session phase (network_wiring, run,
+    drain, teardown) with a non-negative int, and all four are
+    reported;
   * every node row has the full counter set (including the segment
     envelope counters segments_in/out and segment_rows_in/out), node
     ids are unique, and derived ratios (dup_hit_rate, selectivity,
@@ -109,9 +109,7 @@ TOTAL_COUNTERS = [
 ]
 
 ROLES = {"goal", "rule", "edb", "cycle_ref"}
-SESSION_PHASE_KEYS = ["network_wiring_ns", "run_ns", "drain_ns",
-                      "teardown_ns"]
-PHASE_KEYS = {"adornment_ns", "graph_build_ns", *SESSION_PHASE_KEYS}
+PHASE_KEYS = ["network_wiring_ns", "run_ns", "drain_ns", "teardown_ns"]
 
 
 def fail(msg):
@@ -129,8 +127,8 @@ def load(path):
 
 def check_profile(path):
     report = load(path)
-    if report.get("schema") != "mpqe-profile-v3":
-        fail(f'schema is {report.get("schema")!r}, expected "mpqe-profile-v3"')
+    if report.get("schema") != "mpqe-profile-v4":
+        fail(f'schema is {report.get("schema")!r}, expected "mpqe-profile-v4"')
     for key in ("totals", "phases", "nodes", "sccs"):
         if key not in report:
             fail(f'top-level "{key}" missing')
@@ -140,7 +138,7 @@ def check_profile(path):
             fail(f'unknown phase "{key}"')
         if not isinstance(v, int) or v < 0:
             fail(f"phases.{key} is {v!r}, expected a non-negative int")
-    for key in SESSION_PHASE_KEYS:
+    for key in PHASE_KEYS:
         if key not in phases:
             fail(f'phases.{key} missing (every session reports it)')
     totals = report["totals"]

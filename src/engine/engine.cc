@@ -175,12 +175,11 @@ StatusOr<EvaluationResult> QuerySession::Run() {
   DatabaseSnapshot& snapshot = *plan_->snapshot();
   // Lineage instrumentation writes tuple-id allocators into the shared
   // EDB relations, so it needs the snapshot to itself; everything else
-  // shares. Exclusive sessions may also register indexes (kRegister),
-  // shared ones must not (kLookupOnly).
+  // shares.
   const bool exclusive = options_.lineage;
   MPQE_RETURN_IF_ERROR(snapshot.BeginSession(exclusive));
 
-  EngineTelemetry* telemetry = options_.telemetry;
+  EngineTelemetry* telemetry = wiring_.telemetry;
   // With telemetry on, a SAMPLE of sessions (every Nth —
   // TelemetryOptions::session_metrics_every) collects deep metrics:
   // the session registry is merged into the engine-lifetime one on
@@ -201,9 +200,7 @@ StatusOr<EvaluationResult> QuerySession::Run() {
 
   const uint64_t start = NowNs();
   StatusOr<EvaluationResult> result =
-      RunSession(plan_->graph(), snapshot.db_, run_options,
-                 exclusive ? EdbIndexMode::kRegister
-                           : EdbIndexMode::kLookupOnly);
+      RunSession(*plan_, run_options, wiring_);
   latency_ns_ = NowNs() - start;
   snapshot.EndSession(exclusive);
   if (telemetry != nullptr) {
@@ -211,17 +208,17 @@ StatusOr<EvaluationResult> QuerySession::Run() {
         .Record(latency_ns_);
   }
 
-  if (options_.flight != nullptr) {
+  if (wiring_.flight != nullptr) {
     const uint64_t rows = result.ok() ? result.value().answers.size() : 0;
-    options_.flight->RecordEvent(
-        FlightEventType::kSessionEnd, options_.query_id,
+    wiring_.flight->RecordEvent(
+        FlightEventType::kSessionEnd, wiring_.query_id,
         result.ok() ? 1 : 0, -1,
         static_cast<uint32_t>(std::min<uint64_t>(rows, UINT32_MAX)));
   }
 
   if (telemetry != nullptr) {
     QueryLogEntry entry;
-    entry.query_id = options_.query_id;
+    entry.query_id = wiring_.query_id;
     entry.text_hash = HashQueryText(plan_->canonical_text());
     entry.plan_reused = plan_reused_;
     entry.rows_out = result.ok() ? result.value().answers.size() : 0;
@@ -480,9 +477,7 @@ StatusOr<std::shared_ptr<const PreparedQuery>> Engine::Compile(
   // with the same lifetime.
   plan->program_ = std::make_unique<Program>(program);
 
-  if (!options.skip_validation) {
-    MPQE_RETURN_IF_ERROR(snapshot->ValidateProgram(*plan->program_));
-  }
+  MPQE_RETURN_IF_ERROR(snapshot->ValidateProgram(*plan->program_));
   MPQE_ASSIGN_OR_RETURN(std::unique_ptr<SipsStrategy> strategy,
                         MakeStrategyByName(options.strategy));
   MPQE_ASSIGN_OR_RETURN(
@@ -509,30 +504,29 @@ StatusOr<std::unique_ptr<QuerySession>> Engine::CreateSession(
   MPQE_RETURN_IF_ERROR(options.Validate());
   CountEngineEvent("engine/sessions");
   SessionOptions session_options = options;
+  SessionWiring wiring;
   bool plan_reused = false;
   if (telemetry_) {
     // Mint the stable query id here — it identifies the session from
     // birth, whether or not Run is ever called.
-    session_options.query_id = telemetry_->MintQueryId();
-    session_options.telemetry = telemetry_.get();
+    wiring.query_id = telemetry_->MintQueryId();
+    wiring.telemetry = telemetry_.get();
     plan_reused =
         plan->sessions_created_.fetch_add(1, std::memory_order_relaxed) > 0;
   }
-  if (flight_) session_options.flight = flight_.get();
+  wiring.flight = flight_.get();
   // Engine-level watchdog default; a session may set a tighter (or
-  // looser) threshold of its own. The sink persists through the
-  // engine unless the caller installed one.
+  // looser) threshold of its own. Dumps persist through the engine.
   if (session_options.watchdog_stall_ms == 0) {
     session_options.watchdog_stall_ms = options_.watchdog_stall_ms;
   }
-  if (session_options.watchdog_stall_ms > 0 &&
-      !session_options.flight_dump_sink) {
-    session_options.flight_dump_sink = [this](const FlightDump& dump) {
+  if (session_options.watchdog_stall_ms > 0) {
+    wiring.flight_dump_sink = [this](const FlightDump& dump) {
       HandleFlightDump(dump);
     };
   }
-  auto session = std::unique_ptr<QuerySession>(
-      new QuerySession(this, std::move(plan), std::move(session_options)));
+  auto session = std::unique_ptr<QuerySession>(new QuerySession(
+      std::move(plan), std::move(session_options), std::move(wiring)));
   session->plan_reused_ = plan_reused;
   return session;
 }

@@ -1,5 +1,6 @@
-// The prepared-query engine API (DESIGN.md §11): the three-object
-// lifecycle that splits evaluation into compile-once / run-many.
+// The prepared-query engine API (DESIGN.md §11), the one way to
+// evaluate a query: the three-object lifecycle that splits evaluation
+// into compile-once / run-many.
 //
 //   Engine engine;                                 // worker pool + plan cache
 //   auto snap = engine.Attach(std::move(db));      // immutable EDB snapshot
@@ -17,11 +18,10 @@
 //   a hash lookup (prepare_ns ~ 0).
 //
 // * DatabaseSnapshot wraps a Database the engine treats as immutable.
-//   All mutation the old API performed lazily at run time — index
-//   registration in EdbProcess::OnStart, relation creation inside
+//   All catalog mutation — hash-index builds, relation creation inside
 //   Program::Validate — happens at prepare time under the snapshot
-//   mutex, and only while no session is running. Sessions then execute
-//   with EdbIndexMode::kLookupOnly: shared reads, no locks, no writes.
+//   mutex, and only while no session is running. Sessions then only
+//   look up the pre-built indexes: shared reads, no locks, no writes.
 //
 // * PreparedQuery is an immutable compiled plan: its own Program copy,
 //   the adorned rule/goal graph with sips choices baked in, the EDB
@@ -29,13 +29,11 @@
 //   snapshot. Any number of concurrent sessions may share one plan.
 //
 // * QuerySession is one execution: scheduler choice, wire format,
-//   observers, metrics — the run-time half of the old
-//   EvaluationOptions. Sessions with lineage enabled take the snapshot
-//   exclusively (provenance instrumentation writes id allocators into
-//   the shared relations); everything else runs concurrently.
-//
-// The one-shot Evaluate() in engine/evaluator.h remains as a thin
-// compatibility wrapper over the same run-time half.
+//   observers, metrics (SessionOptions), plus the engine's own wiring
+//   (SessionWiring: query id, telemetry, flight recorder, dump sink).
+//   Sessions with lineage enabled take the snapshot exclusively
+//   (provenance instrumentation writes id allocators into the shared
+//   relations); everything else runs concurrently.
 
 #ifndef MPQE_ENGINE_ENGINE_H_
 #define MPQE_ENGINE_ENGINE_H_
@@ -150,6 +148,11 @@ class DatabaseSnapshot {
  private:
   friend class Engine;
   friend class QuerySession;
+  // Lineage sessions number the EDB rows in place (under the exclusive
+  // session).
+  friend StatusOr<EvaluationResult> RunSession(const PreparedQuery& plan,
+                                               const SessionOptions& options,
+                                               const SessionWiring& wiring);
 
   DatabaseSnapshot(Database db, std::string name, uint64_t uid)
       : db_(std::move(db)), name_(std::move(name)), uid_(uid) {}
@@ -253,17 +256,19 @@ class QuerySession {
   /// The engine-minted stable query id correlating this session across
   /// trace spans, log lines, lineage dumps and the query log (0 when
   /// the engine runs with telemetry off).
-  uint64_t query_id() const { return options_.query_id; }
+  uint64_t query_id() const { return wiring_.query_id; }
 
  private:
   friend class Engine;
-  QuerySession(Engine* engine, std::shared_ptr<const PreparedQuery> plan,
-               SessionOptions options)
-      : engine_(engine), plan_(std::move(plan)), options_(std::move(options)) {}
+  QuerySession(std::shared_ptr<const PreparedQuery> plan,
+               SessionOptions options, SessionWiring wiring)
+      : plan_(std::move(plan)),
+        options_(std::move(options)),
+        wiring_(std::move(wiring)) {}
 
-  Engine* engine_;
   std::shared_ptr<const PreparedQuery> plan_;
   SessionOptions options_;
+  SessionWiring wiring_;
   // Whether this session reuses a plan another session already ran
   // (stamped at CreateSession; reported in the query log).
   bool plan_reused_ = false;
@@ -387,7 +392,7 @@ class Engine {
   std::vector<std::thread> workers_;
 
   // The black box. Sessions hold the raw pointer through
-  // SessionOptions::flight; destroyed after the pool joins (and after
+  // SessionWiring::flight; destroyed after the pool joins (and after
   // the stats server stops) so no recording or snapshotting thread can
   // outlive it.
   std::unique_ptr<FlightRecorder> flight_;

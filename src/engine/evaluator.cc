@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "engine/engine.h"
 #include "obs/logging_observer.h"
 
 namespace mpqe {
@@ -63,17 +64,12 @@ Status SessionOptions::Validate() const {
   return Status::Ok();
 }
 
-Status EvaluationOptions::Validate() const {
-  MPQE_RETURN_IF_ERROR(PlanOptions::Validate());
-  return SessionOptions::Validate();
-}
-
 namespace {
 
-// The observers of one evaluation: the caller's ExecutionObservers,
-// plus (when configured) an internal MetricsObserver and the
-// ProfilingObserver backing EvaluationOptions::profile. The internal
-// observers live exactly as long as the evaluation.
+// The observers of one session: the caller's ExecutionObservers, plus
+// (when configured) the flight recorder's, an internal MetricsObserver
+// and the ones backing SessionOptions::profile, lineage and log_level.
+// The internal observers live exactly as long as the session.
 struct ScopedObservers {
   ObserverList list;
   std::optional<MetricsObserver> metrics;
@@ -82,10 +78,11 @@ struct ScopedObservers {
   std::optional<LoggingObserver> logger;
   std::optional<FlightSessionObserver> flight;
 
-  explicit ScopedObservers(const SessionOptions& options) {
+  ScopedObservers(const SessionOptions& options,
+                  const SessionWiring& wiring) {
     for (ExecutionObserver* o : options.observers) list.Add(o);
-    if (options.flight != nullptr) {
-      flight.emplace(options.flight, options.query_id);
+    if (wiring.flight != nullptr) {
+      flight.emplace(wiring.flight, wiring.query_id);
       list.Add(&*flight);
     }
     if (options.metrics != nullptr) {
@@ -136,10 +133,8 @@ PredicateId NodePredicate(const GraphNode& node) {
                                       : node.atom.predicate;
 }
 
-void DumpMetrics(const SessionOptions& options, const RuleGoalGraph& graph,
-                 const std::vector<NodeProcessBase*>& node_processes,
+void DumpMetrics(MetricsRegistry& registry, const RuleGoalGraph& graph,
                  const EvaluationResult& result) {
-  MetricsRegistry& registry = *options.metrics;
   registry.GetCounter("engine/stored_tuples")
       .Increment(result.counters.stored_tuples);
   registry.GetCounter("engine/duplicate_drops")
@@ -155,14 +150,13 @@ void DumpMetrics(const SessionOptions& options, const RuleGoalGraph& graph,
       .Increment(result.ended_by_protocol ? 1 : 0);
 
   const PredicatePool& predicates = graph.program().predicates();
-  for (NodeId id = 0; id < static_cast<NodeId>(node_processes.size()); ++id) {
-    EngineCounters row;
-    node_processes[id]->AccumulateCounters(row);
-    const std::string& name = predicates.Name(NodePredicate(graph.node(id)));
+  for (const NodeCounters& row : result.node_counters) {
+    const std::string& name =
+        predicates.Name(NodePredicate(graph.node(row.node)));
     registry.GetCounter(StrCat("predicate/", name, "/stored_tuples"))
-        .Increment(row.stored_tuples);
+        .Increment(row.counters.stored_tuples);
     registry.GetCounter(StrCat("predicate/", name, "/dedup_hits"))
-        .Increment(row.duplicate_drops);
+        .Increment(row.counters.duplicate_drops);
   }
 }
 
@@ -225,13 +219,13 @@ void LogStall(const RuleGoalGraph& graph, const StallInfo& info) {
 // records of this session. Runs on the monitor thread while the
 // workers are (by definition of a stall) not delivering; every source
 // it reads is either immutable wiring state or a relaxed atomic.
-FlightDump BuildFlightDump(const RuleGoalGraph& graph, Database& db,
+FlightDump BuildFlightDump(const RuleGoalGraph& graph, const Database& db,
                            const std::vector<NodeProcessBase*>& node_processes,
-                           const SessionOptions& options,
+                           const SessionWiring& wiring,
                            const StallInfo& info) {
   FlightDump dump;
   dump.reason = "stall";
-  dump.query_id = options.query_id;
+  dump.query_id = wiring.query_id;
   dump.stalled_ms = info.stalled_ms;
   dump.delivered = info.delivered;
   dump.in_flight = info.in_flight;
@@ -294,11 +288,11 @@ FlightDump BuildFlightDump(const RuleGoalGraph& graph, Database& db,
   dump.sccs.reserve(sccs.size());
   for (auto& [scc, row] : sccs) dump.sccs.push_back(row);
 
-  if (options.flight != nullptr) {
-    for (FlightRecord& r : options.flight->Snapshot()) {
+  if (wiring.flight != nullptr) {
+    for (FlightRecord& r : wiring.flight->Snapshot()) {
       // The recorder is engine-wide; keep this session's records plus
       // engine-level ones (query_id 0: plan cache, lifecycle).
-      if (options.query_id == 0 || r.query_id == options.query_id ||
+      if (wiring.query_id == 0 || r.query_id == wiring.query_id ||
           r.query_id == 0) {
         dump.events.push_back(r);
       }
@@ -336,28 +330,32 @@ FlightDump BuildFlightDump(const RuleGoalGraph& graph, Database& db,
 }
 
 // Identifies the session before any other event so every observer can
-// stamp its output with the engine-minted query id. 0 means "no
-// engine" (one-shot Evaluate): no event, outputs stay id-free.
-void StartSession(const SessionOptions& options, const ObserverList& list) {
-  if (options.query_id != 0 && !list.empty()) {
-    list.NotifySessionStart(SessionStartEvent{options.query_id});
+// stamp its output with the engine-minted query id. 0 means "telemetry
+// off": no event, outputs stay id-free.
+void StartSession(const SessionOptions& options, const SessionWiring& wiring,
+                  const ObserverList& list) {
+  if (wiring.query_id != 0 && !list.empty()) {
+    list.NotifySessionStart(SessionStartEvent{wiring.query_id});
   }
-  if (options.flight != nullptr) {
+  if (wiring.flight != nullptr) {
     // The black box gets the session header directly (scheduler kind +
     // worker count — the observer callbacks never see those).
-    options.flight->RecordEvent(FlightEventType::kSessionStart,
-                                options.query_id,
-                                static_cast<int32_t>(options.scheduler),
-                                options.workers);
+    wiring.flight->RecordEvent(FlightEventType::kSessionStart,
+                               wiring.query_id,
+                               static_cast<int32_t>(options.scheduler),
+                               options.workers);
   }
 }
 
-// Runs one session of `graph` with the evaluation's observer set
-// `scoped` (already started). Options are already validated.
-StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
+// Runs one session of `plan` with the session's observer set `scoped`
+// (already started). Options are already validated. `db` is the plan's
+// snapshot; only lineage writes to it (tuple-id allocators), and a
+// lineage session holds the snapshot exclusively.
+StatusOr<EvaluationResult> RunScoped(const PreparedQuery& plan, Database& db,
                                      const SessionOptions& options,
-                                     EdbIndexMode edb_index_mode,
+                                     const SessionWiring& wiring,
                                      ScopedObservers& scoped) {
+  const RuleGoalGraph& graph = plan.graph();
   if (scoped.profiler.has_value()) {
     scoped.profiler->AttachGraph(&graph, &db.symbols());
   }
@@ -374,8 +372,6 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
   shared.graph = &graph;
   shared.db = &db;
   shared.segment_max_rows = options.segment_max_rows;
-  shared.use_edb_indexes = options.use_edb_indexes;
-  shared.edb_index_mode = edb_index_mode;
   if (scoped.lineage.has_value()) {
     // Ids must be flowing before any process stores or serves a tuple:
     // number the EDB rows first (they are the smallest ids — leaves),
@@ -441,8 +437,8 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
   // without a delivery, so every tick is past the threshold.
   if (options.scheduler == SchedulerKind::kThreaded &&
       options.watchdog_stall_ms > 0) {
-    EngineTelemetry* telemetry = options.telemetry;
-    const uint64_t query_id = options.query_id;
+    EngineTelemetry* telemetry = wiring.telemetry;
+    const uint64_t query_id = wiring.query_id;
     // One dump per stall episode: a delivery in between starts a new
     // episode (only the monitor thread touches this state).
     struct WatchdogState {
@@ -452,11 +448,11 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
     auto watchdog = std::make_shared<WatchdogState>();
     network->ConfigureStallMonitor(
         options.watchdog_stall_ms,
-        [&graph, &db, &node_processes, &options, telemetry, query_id,
+        [&graph, &db, &node_processes, &wiring, telemetry, query_id,
          watchdog](const StallInfo& info) {
           LogStall(graph, info);
-          if (options.flight != nullptr) {
-            options.flight->RecordEvent(
+          if (wiring.flight != nullptr) {
+            wiring.flight->RecordEvent(
                 FlightEventType::kStall, query_id,
                 static_cast<int32_t>(
                     std::min<uint64_t>(info.in_flight, INT32_MAX)),
@@ -474,17 +470,17 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
             telemetry->registry().GetCounter("watchdog/stalls").Increment();
           }
           FlightDump dump =
-              BuildFlightDump(graph, db, node_processes, options, info);
-          if (options.flight != nullptr) {
-            options.flight->RecordEvent(
+              BuildFlightDump(graph, db, node_processes, wiring, info);
+          if (wiring.flight != nullptr) {
+            wiring.flight->RecordEvent(
                 FlightEventType::kWatchdogDump, query_id,
                 static_cast<int32_t>(dump.stuck_scc));
           }
-          if (options.flight_dump_sink) {
+          if (wiring.flight_dump_sink) {
             if (telemetry != nullptr) {
               telemetry->registry().GetCounter("watchdog/dumps").Increment();
             }
-            options.flight_dump_sink(dump);
+            wiring.flight_dump_sink(dump);
           }
         });
   }
@@ -510,21 +506,17 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
     result.message_stats = network->stats();
     result.graph_stats = graph.Stats();
     result.delivered = run->delivered;
-    for (NodeProcessBase* p : node_processes) {
-      p->AccumulateCounters(result.counters);
-    }
-    if (options.collect_node_counters) {
-      result.node_counters.reserve(node_processes.size());
-      for (NodeId id = 0; id < static_cast<NodeId>(node_processes.size());
-           ++id) {
-        NodeCounters row;
-        row.node = id;
-        node_processes[id]->AccumulateCounters(row.counters);
-        result.node_counters.push_back(std::move(row));
-      }
+    result.node_counters.reserve(node_processes.size());
+    for (NodeId id = 0; id < static_cast<NodeId>(node_processes.size());
+         ++id) {
+      NodeCounters row;
+      row.node = id;
+      node_processes[id]->AccumulateCounters(row.counters);
+      result.counters.Add(row.counters);
+      result.node_counters.push_back(row);
     }
     if (options.metrics != nullptr) {
-      DumpMetrics(options, graph, node_processes, result);
+      DumpMetrics(*options.metrics, graph, result);
     }
   }
   {
@@ -537,9 +529,7 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
   }
   if (scoped.profiler.has_value()) {
     auto report = std::make_shared<ProfileReport>(scoped.profiler->Finalize());
-    FillCostEstimates(graph,
-                      CostModelParamsFromDatabase(graph.program(), db),
-                      *report);
+    FillCostEstimates(graph, plan.cost_params(), *report);
     if (options.metrics != nullptr) {
       DumpProfileMetrics(*report, *options.metrics);
     }
@@ -558,45 +548,13 @@ StatusOr<EvaluationResult> RunScoped(const RuleGoalGraph& graph, Database& db,
 
 }  // namespace
 
-StatusOr<EvaluationResult> RunSession(const RuleGoalGraph& graph, Database& db,
+StatusOr<EvaluationResult> RunSession(const PreparedQuery& plan,
                                       const SessionOptions& options,
-                                      EdbIndexMode edb_index_mode) {
+                                      const SessionWiring& wiring) {
   MPQE_RETURN_IF_ERROR(options.Validate());
-  ScopedObservers scoped(options);
-  StartSession(options, scoped.list);
-  return RunScoped(graph, db, options, edb_index_mode, scoped);
-}
-
-StatusOr<EvaluationResult> EvaluateWithGraph(const RuleGoalGraph& graph,
-                                             Database& db,
-                                             const EvaluationOptions& options) {
-  MPQE_RETURN_IF_ERROR(options.Validate());
-  return RunSession(graph, db, options, EdbIndexMode::kRegister);
-}
-
-StatusOr<EvaluationResult> Evaluate(const Program& program, Database& db,
-                                    const EvaluationOptions& options) {
-  MPQE_RETURN_IF_ERROR(options.Validate());
-  // One observer set for the whole evaluation, so the profiler sees
-  // the plan phases as well as the session's.
-  ScopedObservers scoped(options);
-  StartSession(options, scoped.list);
-
-  std::unique_ptr<SipsStrategy> strategy;
-  {
-    ScopedPhase phase(scoped.list, Phase::kAdornment);
-    if (!options.skip_validation) {
-      MPQE_RETURN_IF_ERROR(program.Validate(&db));
-    }
-    MPQE_ASSIGN_OR_RETURN(strategy, MakeStrategyByName(options.strategy));
-  }
-  std::unique_ptr<RuleGoalGraph> graph;
-  {
-    ScopedPhase phase(scoped.list, Phase::kGraphBuild);
-    MPQE_ASSIGN_OR_RETURN(
-        graph, RuleGoalGraph::Build(program, *strategy, options.graph_options));
-  }
-  return RunScoped(*graph, db, options, EdbIndexMode::kRegister, scoped);
+  ScopedObservers scoped(options, wiring);
+  StartSession(options, wiring, scoped.list);
+  return RunScoped(plan, plan.snapshot()->db_, options, wiring, scoped);
 }
 
 }  // namespace mpqe

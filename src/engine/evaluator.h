@@ -1,27 +1,21 @@
-// The public entry point: evaluate a Datalog query over an EDB with
-// the paper's message-passing framework.
-//
-// Quickstart:
-//   auto unit = Parse(R"(
-//     edge(a, b).  edge(b, c).
-//     path(X, Y) :- edge(X, Y).
-//     path(X, Y) :- edge(X, Z), path(Z, Y).
-//     ?- path(a, W).
-//   )");
-//   EvaluationOptions options;
-//   auto result = Evaluate(unit->program, unit->database, options);
-//   // result->answers is the goal relation {(b), (c)}.
+// The run-time half of query evaluation (DESIGN.md §11): the option
+// structs of the two lifecycle halves, the result of one session, and
+// RunSession, which wires the process network of the paper's §3 over
+// a compiled plan and runs it. Callers evaluate through the engine
+// (engine/engine.h): Engine::Attach, Prepare, CreateSession, Run.
 //
 // Observability (see DESIGN.md § Observability): attach any number of
-// ExecutionObservers via EvaluationOptions::observers — e.g. a
+// ExecutionObservers via SessionOptions::observers — e.g. a
 // TraceExporter for a chrome://tracing timeline, or a custom observer
-// for test assertions — and/or point EvaluationOptions::metrics at a
+// for test assertions — and/or point SessionOptions::metrics at a
 // MetricsRegistry to collect named counters and histograms:
 //   TraceExporter trace;
 //   MetricsRegistry metrics;
+//   SessionOptions options;
 //   options.observers.push_back(&trace);
 //   options.metrics = &metrics;
-//   auto result = Evaluate(...);
+//   auto session = engine.CreateSession(plan, options);
+//   auto result = (*session)->Run();
 //   trace.WriteFile("trace.json");   // load in chrome://tracing
 //   std::cout << metrics.ToString();
 
@@ -50,12 +44,13 @@
 
 namespace mpqe {
 
+class PreparedQuery;
+
 // The options of an evaluation split along the engine lifecycle
 // (DESIGN.md §11): PlanOptions govern query *compilation* (parse,
 // validate, adorn, sips, graph build — everything a PreparedQuery
 // caches), SessionOptions govern one *execution* of a compiled plan
-// (scheduler, wire format, observers). EvaluationOptions, the one-shot
-// Evaluate() compatibility surface, is simply both halves.
+// (scheduler, wire format, observers).
 
 struct PlanOptions {
   // Information passing strategy name (see MakeStrategyByName):
@@ -64,9 +59,6 @@ struct PlanOptions {
   std::string strategy = "greedy";
 
   GraphBuildOptions graph_options;
-
-  // Skip Program::Validate (when the caller already validated).
-  bool skip_validation = false;
 
   /// Checks the plan options for configuration errors. The Status
   /// message names the offending field ("strategy: ...").
@@ -92,13 +84,6 @@ struct SessionOptions {
 
   // Safety valve against runaway computations (0 = unlimited).
   uint64_t max_messages = 0;
-
-  // Fill EvaluationResult::node_counters with a per-node breakdown.
-  bool collect_node_counters = false;
-
-  // Ablation: disable EDB hash indexes (EDB leaves scan instead of
-  // probe). Answers are unchanged; only time differs.
-  bool use_edb_indexes = true;
 
   // Execution observers (not owned; must outlive the evaluation).
   // They receive typed events from every layer — sends, deliveries,
@@ -133,26 +118,6 @@ struct SessionOptions {
   // never changes evaluation behavior or results.
   std::string log_level;
 
-  // Engine-minted stable query id (DESIGN.md §12). Nonzero iff the
-  // session came from Engine::CreateSession; published to every
-  // observer as a SessionStartEvent before any other event, so trace
-  // spans, log lines, lineage dumps and the engine query log all carry
-  // the same id. The one-shot Evaluate path leaves it 0 and its
-  // outputs stay id-free.
-  uint64_t query_id = 0;
-
-  // Engine telemetry sink (not owned; set by Engine::CreateSession,
-  // never by callers). When set, the watchdog counts its stalls and
-  // dumps there (watchdog/stalls, watchdog/dumps).
-  EngineTelemetry* telemetry = nullptr;
-
-  // Flight recorder sink (not owned; set by Engine::CreateSession when
-  // EngineOptions::flight_recorder is on, or directly by tests). When
-  // set, the session attaches a FlightSessionObserver so sends,
-  // deliveries, node fires, phases and termination-protocol events
-  // land in the engine's black box (obs/flight_recorder.h).
-  FlightRecorder* flight = nullptr;
-
   // Stall watchdog (threaded scheduler only; the other schedulers
   // cannot stall silently): a monitor thread checks delivery progress
   // every watchdog_stall_ms. On each tick with no delivery for at
@@ -160,15 +125,9 @@ struct SessionOptions {
   // and records a kStall flight record; once per stall episode it
   // builds a FlightDump diagnostic bundle — flight-recorder contents,
   // per-SCC Fig. 2 protocol state, per-node queue depths — and hands
-  // it to flight_dump_sink. 0 disables.
+  // it to SessionWiring::flight_dump_sink. 0 disables; CreateSession
+  // replaces 0 with EngineOptions::watchdog_stall_ms.
   int watchdog_stall_ms = 0;
-
-  // Receives the watchdog's diagnostic bundle. Called on the monitor
-  // thread while the session is stalled; must not block for long. Set
-  // by Engine::CreateSession (serialize + persist to debug_dump_dir);
-  // tests may set it directly. Unset drops dumps (the stall is still
-  // logged and counted).
-  std::function<void(const FlightDump&)> flight_dump_sink;
 
   // Fault injection for watchdog tests: park the process of this graph
   // node for fault_park_ms once, on its first work message
@@ -180,20 +139,39 @@ struct SessionOptions {
   /// 1, out-of-range scheduler — and returns an InvalidArgument Status
   /// naming the offending field ("workers: ...") instead of letting
   /// the misconfiguration surface deep inside the run. Called by the
-  /// session builder (Engine::CreateSession) and by
-  /// Evaluate/EvaluateWithGraph before any work.
+  /// session builder (Engine::CreateSession) and by RunSession.
   Status Validate() const;
 };
 
-// The one-shot compatibility surface: both halves in one flat struct,
-// exactly as the pre-Engine API exposed them.
-struct EvaluationOptions : public PlanOptions, public SessionOptions {
-  /// Validates both halves (PlanOptions then SessionOptions).
-  Status Validate() const;
+// What the engine wires into one session beside the caller's
+// SessionOptions. Engine::CreateSession fills it; callers never do.
+struct SessionWiring {
+  // Engine-minted stable query id (DESIGN.md §12), published to every
+  // observer as a SessionStartEvent before any other event, so trace
+  // spans, log lines, lineage dumps and the engine query log all carry
+  // the same id. 0 when the engine runs with telemetry off; outputs
+  // then stay id-free.
+  uint64_t query_id = 0;
+
+  // Engine telemetry sink (not owned). When set, the watchdog counts
+  // its stalls and dumps there (watchdog/stalls, watchdog/dumps).
+  EngineTelemetry* telemetry = nullptr;
+
+  // Flight recorder sink (not owned; set when
+  // EngineOptions::flight_recorder is on). When set, the session
+  // attaches a FlightSessionObserver so sends, deliveries, node fires,
+  // phases and termination-protocol events land in the engine's black
+  // box (obs/flight_recorder.h).
+  FlightRecorder* flight = nullptr;
+
+  // Receives the watchdog's diagnostic bundle. Called on the monitor
+  // thread while the session is stalled; must not block for long.
+  // The engine serializes the dump and persists it to debug_dump_dir.
+  // Unset drops dumps (the stall is still logged and counted).
+  std::function<void(const FlightDump&)> flight_dump_sink;
 };
 
-// Per-node counter row (populated when
-// EvaluationOptions::collect_node_counters is set).
+// Per-node counter row (EvaluationResult::node_counters).
 struct NodeCounters {
   NodeId node = kNoNode;
   EngineCounters counters;
@@ -215,50 +193,32 @@ struct EvaluationResult {
   GraphStats graph_stats;
   uint64_t delivered = 0;
 
-  // One row per graph node (empty unless requested). Use together
+  // One row per graph node; `counters` is their sum. Use together
   // with RuleGoalGraph::NodeLabel to see where tuples accumulate.
   std::vector<NodeCounters> node_counters;
 
-  // The profiler's report (set iff EvaluationOptions::profile), with
-  // cost estimates already filled from the database. Shared so the
+  // The profiler's report (set iff SessionOptions::profile), with
+  // cost estimates already filled from the plan's cost parameters. Shared so the
   // result stays copyable.
   std::shared_ptr<const ProfileReport> profile;
 
-  // The derivation DAG (set iff EvaluationOptions::lineage): one
+  // The derivation DAG (set iff SessionOptions::lineage): one
   // record per distinct tuple, EDB leaves resolved, minimal depths
   // computed. Query with Match/FormatProof; see obs/lineage.h. Shared
   // so the result stays copyable.
   std::shared_ptr<const LineageReport> lineage;
 };
 
-/// Builds the rule/goal graph for `program`, wires the process
-/// network, runs it, and returns the goal relation. `db` must hold the
-/// EDB; indexes may be added to its relations.
-///
-/// This is a thin compatibility wrapper over the prepared-query
-/// lifecycle (engine/engine.h): it compiles the plan, runs one
-/// exclusive session over it, and throws the plan away. Callers that
-/// dispatch the same program repeatedly or concurrently should use
-/// Engine::Prepare + QuerySession instead.
-StatusOr<EvaluationResult> Evaluate(const Program& program, Database& db,
-                                    const EvaluationOptions& options = {});
-
-/// As Evaluate, but over a pre-built graph (reuse across EDB scales;
-/// the graph's program must match).
-StatusOr<EvaluationResult> EvaluateWithGraph(const RuleGoalGraph& graph,
-                                             Database& db,
-                                             const EvaluationOptions& options = {});
-
-/// The run-time half on its own: executes one query session over an
-/// already-compiled plan. `edb_index_mode` selects whether EDB leaves
-/// may register missing hash indexes on `db` (kRegister — exclusive
-/// evaluations) or must treat the database as immutable and only probe
-/// indexes pre-built at plan time (kLookupOnly — concurrent sessions
-/// over a shared DatabaseSnapshot; missing indexes degrade to scans).
-/// QuerySession::Run and EvaluateWithGraph both land here.
-StatusOr<EvaluationResult> RunSession(
-    const RuleGoalGraph& graph, Database& db, const SessionOptions& options,
-    EdbIndexMode edb_index_mode = EdbIndexMode::kRegister);
+/// Executes one query session over a compiled plan: wires one process
+/// per graph node plus the answer sink, runs the scheduler, and
+/// collects the goal relation. EDB leaves only probe the indexes the
+/// plan pre-built on its snapshot; a missing one degrades to a scan.
+/// QuerySession::Run lands here after taking the snapshot (exclusively
+/// for lineage, which numbers the EDB rows in place); a direct caller
+/// owns that guarantee.
+StatusOr<EvaluationResult> RunSession(const PreparedQuery& plan,
+                                      const SessionOptions& options,
+                                      const SessionWiring& wiring);
 
 }  // namespace mpqe
 

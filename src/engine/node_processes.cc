@@ -24,6 +24,14 @@ std::shared_ptr<TupleSegment> NewSegment(const Tuple& binding, size_t arity) {
 
 }  // namespace
 
+void EngineCounters::Add(const EngineCounters& row) {
+  stored_tuples += row.stored_tuples;
+  duplicate_drops += row.duplicate_drops;
+  contexts += row.contexts;
+  max_node_relation = std::max(max_node_relation, row.max_node_relation);
+  protocol_waves += row.protocol_waves;
+}
+
 std::string EngineCounters::ToString() const {
   return StrCat("{stored=", stored_tuples, " dups=", duplicate_drops,
                 " contexts=", contexts, " max_rel=", max_node_relation,
@@ -568,22 +576,13 @@ class EdbProcess : public NodeProcessBase {
     key_template_ = std::move(plan.key_template);
     key_d_slots_ = std::move(plan.key_d_slots);
     equalities_ = std::move(plan.equalities);
-    if (!key_positions_.empty() && shared_.use_edb_indexes) {
-      if (shared_.edb_index_mode == EdbIndexMode::kRegister) {
-        // Network::Start is single-threaded, and EnsureIndex
-        // deduplicates by key columns, so sharing the relation across
-        // EDB processes is safe.
-        index_handle_ = shared_.db->GetMutableRelation(name)->EnsureIndex(
-            key_positions_);
-        has_index_ = true;
-      } else {
-        // Shared snapshot: the index was pre-built at prepare time
-        // (DatabaseSnapshot::EnsureIndexes over the plan's specs);
-        // fall back to scanning when it is missing — e.g. the plan was
-        // prepared while other sessions were running — rather than
-        // mutating the shared relation.
-        has_index_ = relation_->FindIndex(key_positions_, &index_handle_);
-      }
+    if (!key_positions_.empty()) {
+      // The index was pre-built at prepare time
+      // (DatabaseSnapshot::EnsureIndexes over the plan's specs); when it
+      // is missing — the plan was prepared while other sessions were
+      // running — the leaf scans rather than mutating the shared
+      // relation.
+      has_index_ = relation_->FindIndex(key_positions_, &index_handle_);
     }
   }
 

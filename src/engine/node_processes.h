@@ -54,38 +54,24 @@ struct EngineCounters {
   uint64_t max_node_relation = 0;  // largest single temporary relation
   uint64_t protocol_waves = 0;     // Fig. 2 waves initiated
 
-  std::string ToString() const;
-};
+  /// Adds one node's row into these totals (sums; max for
+  /// max_node_relation).
+  void Add(const EngineCounters& row);
 
-// How EDB leaves acquire their hash indexes at wiring time.
-enum class EdbIndexMode {
-  // Exclusive database: OnStart may register missing indexes
-  // (single-threaded Start() phase; the legacy Evaluate path).
-  kRegister,
-  // Shared immutable snapshot: only look up indexes pre-built at plan
-  // time (Relation::FindIndex); a missing index degrades to a scan
-  // instead of racing concurrent sessions with a build.
-  kLookupOnly,
+  std::string ToString() const;
 };
 
 // Immutable state shared by all node processes of one evaluation.
 struct EngineShared {
   const RuleGoalGraph* graph = nullptr;
-  // Mutable only for index registration during the single-threaded
-  // Start() phase under kRegister; the run phase reads it
-  // concurrently.
-  Database* db = nullptr;
+  // The snapshot's EDB, read concurrently by every session; indexes
+  // were built at plan time.
+  const Database* db = nullptr;
   // Answer tuples always travel as columnar TupleSegments
   // (msg/segment.h). Seal an accumulating segment once it reaches this
   // many rows (bounds per-handler buffering; >= 1; 1 is the per-tuple
   // wire).
   size_t segment_max_rows = 1024;
-  // Ablation: when false, EDB node processes answer tuple requests by
-  // scanning instead of probing hash indexes.
-  bool use_edb_indexes = true;
-  // Whether EDB leaves may register indexes or must only look up
-  // pre-built ones (concurrent sessions over a shared snapshot).
-  EdbIndexMode edb_index_mode = EdbIndexMode::kRegister;
   // node id -> process id (processes are registered in node order, so
   // this is the identity; kept explicit for clarity).
   std::vector<ProcessId> node_pid;

@@ -1,7 +1,7 @@
 // Wires common/logging into the engine: a LoggingObserver turns
 // evaluation phases and Fig. 2 termination-protocol waves into
 // leveled, thread-tagged log lines. Off by default — the evaluator
-// attaches one only when EvaluationOptions::log_level (or the
+// attaches one only when SessionOptions::log_level (or the
 // MPQE_LOG_LEVEL environment variable) asks for it, so the
 // deterministic scheduler tests see no extra output or state.
 //
@@ -44,8 +44,8 @@ class LoggingObserver : public ExecutionObserver {
   LogLevel level_;
   std::ostream* out_;
   // Engine query id prefixed to every line ("q17 ...") once a
-  // SessionStartEvent arrives — 0 (one-shot Evaluate) keeps lines
-  // exactly as before. Set before any other event is published.
+  // SessionStartEvent arrives — 0 (engine telemetry off) keeps lines
+  // unprefixed. Set before any other event is published.
   uint64_t query_id_ = 0;
   std::mutex mutex_;
 };
@@ -59,7 +59,7 @@ StatusOr<std::optional<LogLevel>> EngineLogLevelFromName(
 /// The effective engine log level: `option_value` when non-empty, else
 /// the MPQE_LOG_LEVEL environment variable. Unset/invalid env means
 /// disabled (option values are validated earlier, by
-/// EvaluationOptions::Validate).
+/// SessionOptions::Validate).
 std::optional<LogLevel> ResolveEngineLogLevel(const std::string& option_value);
 
 }  // namespace mpqe

@@ -36,15 +36,16 @@
 
 namespace mpqe {
 
-// Coarse evaluation phases, reported by the evaluator in order.
+// Coarse phases of one query session, reported by the evaluator in
+// order. Plan time (validate, adorn, graph build) happens once per
+// PreparedQuery, before any session: see PreparedQuery::prepare_ns()
+// and the engine/prepare_ns histogram.
 enum class Phase : uint8_t {
-  kAdornment = 0,      // sips strategy construction + program validation
-  kGraphBuild = 1,     // rule/goal graph construction
-  kNetworkWiring = 2,  // process creation + termination configuration
-  kRun = 3,            // scheduler loop (bulk of the evaluation)
-  kDrain = 4,          // result collection after the run
-  kTeardown = 5,       // destroying the session's processes and state
-  kPhaseCount = 6,
+  kNetworkWiring = 0,  // process creation + termination configuration
+  kRun = 1,            // scheduler loop (bulk of the evaluation)
+  kDrain = 2,          // result collection after the run
+  kTeardown = 3,       // destroying the session's processes and state
+  kPhaseCount = 4,
 };
 
 const char* PhaseToString(Phase phase);
@@ -152,8 +153,8 @@ struct DeriveBatchEvent {
 // engine-minted stable id correlating this execution across every
 // artifact — trace spans, log lines, lineage dumps, profiler reports,
 // the engine query log and the /queries endpoint (DESIGN.md §12).
-// 0 means "no engine involved" (the one-shot Evaluate path), in which
-// case no event is published and all outputs stay id-free.
+// 0 means "telemetry off" (no id was minted), in which case no event
+// is published and all outputs stay id-free.
 struct SessionStartEvent {
   uint64_t query_id = 0;
 };

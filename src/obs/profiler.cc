@@ -116,7 +116,7 @@ std::vector<int32_t> ProfileReport::DeviatingNodes(
 }
 
 std::string ProfileReport::ToJson() const {
-  std::string out = "{\n  \"schema\": \"mpqe-profile-v3\",\n";
+  std::string out = "{\n  \"schema\": \"mpqe-profile-v4\",\n";
   if (query_id != 0) out += StrCat("  \"query_id\": ", query_id, ",\n");
   out += "  \"totals\": {";
   out += StrCat("\"fires\": ", total_fires,

@@ -10,7 +10,7 @@
 // pairing of OnSend and OnDeliver); per strong component it records
 // Fig. 2 protocol rounds and the termination tree's depth.
 //
-// Usage: set EvaluationOptions::profile and read
+// Usage: set SessionOptions::profile and read
 // EvaluationResult::profile, or attach a ProfilingObserver manually:
 //   ProfilingObserver profiler;
 //   profiler.AttachGraph(graph.get(), &db.symbols());
@@ -121,10 +121,10 @@ struct SccProfile {
 struct ProfileReport {
   std::vector<NodeProfile> nodes;
   std::vector<SccProfile> sccs;
-  // The engine-minted query id of the profiled session (0 = one-shot
-  // Evaluate path; then omitted from ToJson).
+  // The engine-minted query id of the profiled session (0 = engine
+  // telemetry off; then omitted from ToJson).
   uint64_t query_id = 0;
-  // Wall time per evaluator phase, in Phase order (0 if unobserved).
+  // Wall time per session phase, in Phase order (0 if unobserved).
   std::vector<uint64_t> phase_ns;
 
   // Whole-evaluation sums (include the sink's message traffic, which
@@ -143,7 +143,7 @@ struct ProfileReport {
   /// either direction.
   std::vector<int32_t> DeviatingNodes(double deviation_factor) const;
 
-  /// Machine-readable report ("mpqe-profile-v3"; validated by
+  /// Machine-readable report ("mpqe-profile-v4"; validated by
   /// scripts/check_trace.py --profile).
   std::string ToJson() const;
 };

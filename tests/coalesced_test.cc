@@ -12,7 +12,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "graph/rule_goal_graph.h"
 #include "sips/strategy.h"
 #include "workload/generators.h"
@@ -32,8 +32,8 @@ GraphBuildOptions Coalesced() {
   return options;
 }
 
-EvaluationOptions CoalescedEval() {
-  EvaluationOptions options;
+PlanOptions CoalescedPlan() {
+  PlanOptions options;
   options.graph_options.coalesce_nodes = true;
   return options;
 }
@@ -182,8 +182,10 @@ TEST(CoalescedEngineTest, CanonicalQueriesMatchPlainEngine) {
     Program p1, p2;
     ASSERT_TRUE(ParseInto(c.program, p1, db1).ok());
     ASSERT_TRUE(ParseInto(c.program, p2, db2).ok());
-    auto plain = Evaluate(p1, db1);
-    auto shared = Evaluate(p2, db2, CoalescedEval());
+    EngineFixture f1(std::move(db1));
+    EngineFixture f2(std::move(db2));
+    auto plain = f1.Run(p1);
+    auto shared = f2.Run(p2, CoalescedPlan());
     ASSERT_TRUE(plain.ok()) << c.name << ": " << plain.status();
     ASSERT_TRUE(shared.ok()) << c.name << ": " << shared.status();
     EXPECT_TRUE(plain->answers == shared->answers) << c.name;
@@ -213,13 +215,12 @@ TEST(CoalescedEngineTest, MultiEntrySccServesAllCustomers) {
   auto truth = SemiNaiveBottomUp(unit->program, unit->database);
   ASSERT_TRUE(truth.ok());
 
+  EngineFixture fixture(std::move(unit->database));
   for (uint64_t seed = 0; seed < 15; ++seed) {
-    auto unit2 = Parse(text);
-    ASSERT_TRUE(unit2.ok());
-    EvaluationOptions options = CoalescedEval();
+    SessionOptions options;
     options.scheduler = SchedulerKind::kRandom;
     options.seed = seed;
-    auto result = Evaluate(unit2->program, unit2->database, options);
+    auto result = fixture.Run(unit->program, CoalescedPlan(), options);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(result->ended_by_protocol) << "seed " << seed;
     EXPECT_TRUE(result->answers == truth->goal) << "seed " << seed;
@@ -235,9 +236,10 @@ TEST_P(CoalescedRandomEquivalence, MatchesSemiNaive) {
   ASSERT_TRUE(rp.ok());
   auto truth = SemiNaiveBottomUp(rp->unit.program, rp->unit.database);
   ASSERT_TRUE(truth.ok());
-  EvaluationOptions eval = CoalescedEval();
+  SessionOptions eval;
   eval.max_messages = 5000000;
-  auto result = Evaluate(rp->unit.program, rp->unit.database, eval);
+  EngineFixture fixture(std::move(rp->unit.database));
+  auto result = fixture.Run(rp->unit.program, CoalescedPlan(), eval);
   ASSERT_TRUE(result.ok()) << result.status() << "\n" << rp->text;
   EXPECT_TRUE(result->ended_by_protocol) << rp->text;
   EXPECT_TRUE(result->answers == truth->goal)
@@ -264,9 +266,10 @@ TEST_P(CoalescedDenseEquivalence, MatchesSemiNaive) {
   ASSERT_TRUE(rp.ok());
   auto truth = SemiNaiveBottomUp(rp->unit.program, rp->unit.database);
   ASSERT_TRUE(truth.ok());
-  EvaluationOptions eval = CoalescedEval();
+  SessionOptions eval;
   eval.max_messages = 20000000;
-  auto result = Evaluate(rp->unit.program, rp->unit.database, eval);
+  EngineFixture fixture(std::move(rp->unit.database));
+  auto result = fixture.Run(rp->unit.program, CoalescedPlan(), eval);
   ASSERT_TRUE(result.ok()) << result.status() << "\n" << rp->text;
   EXPECT_TRUE(result->ended_by_protocol);
   EXPECT_TRUE(result->answers == truth->goal)
@@ -285,12 +288,13 @@ TEST(CoalescedEngineTest, RandomSchedulesOnCoalescedGraph) {
   ASSERT_TRUE(rp.ok());
   auto truth = SemiNaiveBottomUp(rp->unit.program, rp->unit.database);
   ASSERT_TRUE(truth.ok());
+  EngineFixture fixture(std::move(rp->unit.database));
   for (uint64_t seed = 0; seed < 12; ++seed) {
-    EvaluationOptions eval = CoalescedEval();
+    SessionOptions eval;
     eval.scheduler = SchedulerKind::kRandom;
     eval.seed = seed;
     eval.max_messages = 5000000;
-    auto result = Evaluate(rp->unit.program, rp->unit.database, eval);
+    auto result = fixture.Run(rp->unit.program, CoalescedPlan(), eval);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(result->ended_by_protocol) << "seed " << seed;
     EXPECT_TRUE(result->answers == truth->goal) << "seed " << seed;
@@ -304,15 +308,12 @@ TEST(CoalescedEngineTest, ThreadedSchedulerOnCoalescedGraph) {
   ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
   auto truth = SemiNaiveBottomUp(program, db);
   ASSERT_TRUE(truth.ok());
+  EngineFixture fixture(std::move(db));
   for (int workers : {1, 4}) {
-    Database db2;
-    ASSERT_TRUE(workload::MakeCycle(db2, "edge", 10).ok());
-    Program p2;
-    ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), p2, db2).ok());
-    EvaluationOptions eval = CoalescedEval();
+    SessionOptions eval;
     eval.scheduler = SchedulerKind::kThreaded;
     eval.workers = workers;
-    auto result = Evaluate(p2, db2, eval);
+    auto result = fixture.Run(program, CoalescedPlan(), eval);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(result->ended_by_protocol);
     EXPECT_TRUE(result->answers == truth->goal) << workers << " workers";
@@ -335,8 +336,10 @@ TEST(CoalescedEngineTest, MessageSavingsOnSharedWork) {
   Program p1, p2;
   ASSERT_TRUE(ParseInto(text, p1, db1).ok());
   ASSERT_TRUE(ParseInto(text, p2, db2).ok());
-  auto plain = Evaluate(p1, db1);
-  auto shared = Evaluate(p2, db2, CoalescedEval());
+  EngineFixture f1(std::move(db1));
+  EngineFixture f2(std::move(db2));
+  auto plain = f1.Run(p1);
+  auto shared = f2.Run(p2, CoalescedPlan());
   ASSERT_TRUE(plain.ok()) << plain.status();
   ASSERT_TRUE(shared.ok()) << shared.status();
   EXPECT_TRUE(plain->answers == shared->answers);

@@ -1,8 +1,7 @@
 // Tests of the prepared-query engine lifecycle (engine/engine.h):
 // Engine / PreparedQuery / QuerySession, the LRU plan cache with its
 // keying and eviction rules, concurrent sessions over one shared
-// snapshot, and the Evaluate() compatibility wrapper staying
-// result-identical to prepare + run.
+// snapshot, and prepare + run agreeing with semi-naive.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "baseline/bottom_up.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
 #include "engine/engine.h"
-#include "engine/evaluator.h"
 #include "obs/metrics.h"
 #include "workload/generators.h"
 
@@ -30,21 +29,21 @@ constexpr const char* kTcRules = R"(
     ?- tc(1, W).
 )";
 
-// The facts + rules in one text (for the Evaluate() baseline).
+// The facts + rules in one text (for the semi-naive baseline).
 std::string TcProgramText() { return StrCat(kTcFacts, kTcRules); }
 
 std::vector<Tuple> SortedAnswers(const EvaluationResult& result) {
   return result.answers.SortedTuples();
 }
 
-TEST(EngineApiTest, PrepareRunMatchesEvaluate) {
-  // Baseline: the one-shot compatibility wrapper.
+TEST(EngineApiTest, PrepareRunMatchesSemiNaive) {
+  // Ground truth: semi-naive over the same facts and rules.
   auto unit = Parse(TcProgramText());
   ASSERT_TRUE(unit.ok()) << unit.status();
-  auto baseline = Evaluate(unit->program, unit->database);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  auto truth = SemiNaiveBottomUp(unit->program, unit->database);
+  ASSERT_TRUE(truth.ok()) << truth.status();
 
-  // Same computation through the prepared-query lifecycle.
+  // The prepared-query lifecycle over the facts alone.
   auto facts = Parse(kTcFacts);
   ASSERT_TRUE(facts.ok()) << facts.status();
   Engine engine;
@@ -56,38 +55,9 @@ TEST(EngineApiTest, PrepareRunMatchesEvaluate) {
   auto result = (*session)->Run();
   ASSERT_TRUE(result.ok()) << result.status();
 
-  // Pinned: identical answers, message traffic, and engine counters —
-  // the wrapper and the lifecycle run the same network the same way.
-  EXPECT_EQ(SortedAnswers(*result), SortedAnswers(*baseline));
-  EXPECT_EQ(result->message_stats.ToString(),
-            baseline->message_stats.ToString());
-  EXPECT_EQ(result->counters.ToString(), baseline->counters.ToString());
-  EXPECT_EQ(result->ended_by_protocol, baseline->ended_by_protocol);
-  EXPECT_EQ(result->delivered, baseline->delivered);
-}
-
-TEST(EngineApiTest, EvaluateWrapperIsPreparePlusSession) {
-  // EvaluateWithGraph (the wrapper's run half) equals RunSession over
-  // the same graph with the flat options split into halves.
-  auto unit = Parse(TcProgramText());
-  ASSERT_TRUE(unit.ok()) << unit.status();
-  EvaluationOptions options;
-  auto via_wrapper = Evaluate(unit->program, unit->database, options);
-  ASSERT_TRUE(via_wrapper.ok()) << via_wrapper.status();
-
-  auto unit2 = Parse(TcProgramText());
-  ASSERT_TRUE(unit2.ok()) << unit2.status();
-  ASSERT_TRUE(unit2->program.Validate(&unit2->database).ok());
-  auto strategy = MakeStrategyByName(options.strategy);
-  ASSERT_TRUE(strategy.ok());
-  auto graph = RuleGoalGraph::Build(unit2->program, **strategy,
-                                    options.graph_options);
-  ASSERT_TRUE(graph.ok());
-  auto via_session = RunSession(**graph, unit2->database, options);
-  ASSERT_TRUE(via_session.ok()) << via_session.status();
-  EXPECT_EQ(SortedAnswers(*via_session), SortedAnswers(*via_wrapper));
-  EXPECT_EQ(via_session->message_stats.ToString(),
-            via_wrapper->message_stats.ToString());
+  EXPECT_EQ(SortedAnswers(*result), truth->goal.SortedTuples());
+  EXPECT_TRUE(result->ended_by_protocol);
+  EXPECT_TRUE(result->quiescent_after);
 }
 
 TEST(EngineApiTest, ConcurrentSessionsShareOnePlan) {
@@ -97,9 +67,9 @@ TEST(EngineApiTest, ConcurrentSessionsShareOnePlan) {
   // run-time half.
   auto unit = Parse(TcProgramText());
   ASSERT_TRUE(unit.ok()) << unit.status();
-  auto baseline = Evaluate(unit->program, unit->database);
+  auto baseline = SemiNaiveBottomUp(unit->program, unit->database);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
-  const std::vector<Tuple> expected = SortedAnswers(*baseline);
+  const std::vector<Tuple> expected = baseline->goal.SortedTuples();
 
   auto facts = Parse(kTcFacts);
   ASSERT_TRUE(facts.ok()) << facts.status();
@@ -310,16 +280,6 @@ TEST(EngineApiTest, PlanOptionsValidateNamesStrategy) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("strategy"), std::string::npos) << status;
-
-  // The flat compatibility struct validates both halves.
-  EvaluationOptions flat;
-  flat.strategy = "bogus";
-  EXPECT_FALSE(flat.Validate().ok());
-  flat.strategy = "greedy";
-  flat.workers = -1;
-  Status session_status = flat.Validate();
-  ASSERT_FALSE(session_status.ok());
-  EXPECT_NE(session_status.message().find("workers"), std::string::npos);
 }
 
 TEST(EngineApiTest, SessionsAreSingleUse) {

@@ -7,7 +7,7 @@
 #include "baseline/bottom_up.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -15,11 +15,11 @@ namespace {
 
 Tuple T1(int64_t a) { return {Value::Int(a)}; }
 
-StatusOr<EvaluationResult> RunQuery(const char* text,
-                                    EvaluationOptions options = {}) {
+StatusOr<EvaluationResult> RunQuery(const char* text) {
   auto unit = Parse(text);
   if (!unit.ok()) return unit.status();
-  return Evaluate(unit->program, unit->database, options);
+  EngineFixture fixture(std::move(unit->database));
+  return fixture.Run(unit->program);
 }
 
 TEST(EvaluatorTest, NonRecursiveJoin) {
@@ -69,7 +69,8 @@ TEST(EvaluatorTest, CyclicDataReachesFixpoint) {
   ASSERT_TRUE(workload::MakeCycle(db, "edge", 6).ok());
   Program program;
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  auto result = Evaluate(program, db);
+  EngineFixture fixture(std::move(db));
+  auto result = fixture.Run(program);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->answers.size(), 6u);
   EXPECT_TRUE(result->ended_by_protocol);
@@ -84,18 +85,14 @@ TEST(EvaluatorTest, PaperP1NonlinearRecursion) {
   ASSERT_TRUE(workload::MakeChain(db, "r", 6).ok());
   Program program;
   ASSERT_TRUE(ParseInto(workload::P1Program(0), program, db).ok());
-  auto result = Evaluate(program, db);
+  // Semi-naive ground truth over the same EDB, before Attach takes it.
+  auto truth = SemiNaiveBottomUp(program, db);
+  ASSERT_TRUE(truth.ok());
+  EngineFixture fixture(std::move(db));
+  auto result = fixture.Run(program);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->ended_by_protocol);
 
-  // Cross-check against semi-naive ground truth.
-  Database db2;
-  ASSERT_TRUE(workload::MakeChain(db2, "q", 6).ok());
-  ASSERT_TRUE(workload::MakeChain(db2, "r", 6).ok());
-  Program program2;
-  ASSERT_TRUE(ParseInto(workload::P1Program(0), program2, db2).ok());
-  auto truth = SemiNaiveBottomUp(program2, db2);
-  ASSERT_TRUE(truth.ok());
   EXPECT_TRUE(result->answers == truth->goal)
       << "engine: " << result->answers.ToString()
       << " truth: " << truth->goal.ToString();
@@ -108,8 +105,10 @@ TEST(EvaluatorTest, NonlinearTcMatchesLinearTc) {
   Program lin, nonlin;
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), lin, db1).ok());
   ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), nonlin, db2).ok());
-  auto r1 = Evaluate(lin, db1);
-  auto r2 = Evaluate(nonlin, db2);
+  EngineFixture f1(std::move(db1));
+  EngineFixture f2(std::move(db2));
+  auto r1 = f1.Run(lin);
+  auto r2 = f2.Run(nonlin);
   ASSERT_TRUE(r1.ok()) << r1.status();
   ASSERT_TRUE(r2.ok()) << r2.status();
   EXPECT_TRUE(r1->answers == r2->answers);
@@ -215,9 +214,10 @@ TEST(EvaluatorTest, AllStrategiesAgree) {
     ASSERT_TRUE(workload::MakeBinaryTree(db, "edge", 15).ok());
     Program program;
     ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-    EvaluationOptions options;
+    PlanOptions options;
     options.strategy = strategy;
-    auto result = Evaluate(program, db, options);
+    EngineFixture fixture(std::move(db));
+    auto result = fixture.Run(program, options);
     ASSERT_TRUE(result.ok()) << strategy << ": " << result.status();
     EXPECT_EQ(result->answers.size(), 14u) << strategy;
     EXPECT_TRUE(result->ended_by_protocol) << strategy;
@@ -233,14 +233,15 @@ TEST(EvaluatorTest, AllSchedulersAgree) {
   Database db0;
   Program p0;
   make(db0, p0);
-  auto baseline = Evaluate(p0, db0);
+  EngineFixture f0(std::move(db0));
+  auto baseline = f0.Run(p0);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
 
   for (int mode = 0; mode < 2; ++mode) {
     Database db;
     Program program;
     make(db, program);
-    EvaluationOptions options;
+    SessionOptions options;
     if (mode == 0) {
       options.scheduler = SchedulerKind::kRandom;
       options.seed = 1234;
@@ -248,7 +249,8 @@ TEST(EvaluatorTest, AllSchedulersAgree) {
       options.scheduler = SchedulerKind::kThreaded;
       options.workers = 4;
     }
-    auto result = Evaluate(program, db, options);
+    EngineFixture fixture(std::move(db));
+    auto result = fixture.Run(program, {}, options);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(result->answers == baseline->answers) << "mode " << mode;
     EXPECT_TRUE(result->ended_by_protocol) << "mode " << mode;
@@ -267,12 +269,14 @@ TEST(EvaluatorTest, SidewaysPassingRestrictsComputation) {
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(12), p1, db1).ok());
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(12), p2, db2).ok());
 
-  EvaluationOptions sips;
+  PlanOptions sips;
   sips.strategy = "greedy";
-  EvaluationOptions full;
+  PlanOptions full;
   full.strategy = "no_sips";
-  auto r1 = Evaluate(p1, db1, sips);
-  auto r2 = Evaluate(p2, db2, full);
+  EngineFixture f1(std::move(db1));
+  EngineFixture f2(std::move(db2));
+  auto r1 = f1.Run(p1, sips);
+  auto r2 = f2.Run(p2, full);
   ASSERT_TRUE(r1.ok()) << r1.status();
   ASSERT_TRUE(r2.ok()) << r2.status();
   EXPECT_TRUE(r1->answers == r2->answers);
@@ -309,9 +313,10 @@ TEST(EvaluatorTest, MaxMessagesGuardPropagates) {
   ASSERT_TRUE(workload::MakeChain(db, "edge", 50).ok());
   Program program;
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  EvaluationOptions options;
+  SessionOptions options;
   options.max_messages = 10;
-  auto result = Evaluate(program, db, options);
+  EngineFixture fixture(std::move(db));
+  auto result = fixture.Run(program, {}, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
@@ -342,27 +347,28 @@ TEST(EvaluatorTest, ExistentialProjectionReducesTuples) {
   EXPECT_LE(result->message_stats.segment_rows, 20u);
 }
 
-TEST(EvaluationOptionsTest, ValidateAcceptsDefaults) {
-  EvaluationOptions options;
-  EXPECT_TRUE(options.Validate().ok());
+TEST(SessionOptionsTest, ValidateAcceptsDefaults) {
+  EXPECT_TRUE(PlanOptions().Validate().ok());
+  EXPECT_TRUE(SessionOptions().Validate().ok());
 }
 
-TEST(EvaluationOptionsTest, ValidateRejectsBadSchedulerValue) {
-  EvaluationOptions options;
+TEST(SessionOptionsTest, ValidateRejectsBadSchedulerValue) {
+  SessionOptions options;
   options.scheduler = static_cast<SchedulerKind>(99);
   Status status = options.Validate();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  // The misconfiguration is caught before any work, not mid-run.
+  // The misconfiguration is caught by CreateSession, not mid-run.
   auto unit = Parse("p(1).\n?- p(W).\n");
   ASSERT_TRUE(unit.ok());
-  auto result = Evaluate(unit->program, unit->database, options);
+  EngineFixture fixture(std::move(unit->database));
+  auto result = fixture.Run(unit->program, {}, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(EvaluationOptionsTest, ValidateRejectsNonPositiveWorkers) {
-  EvaluationOptions options;
+TEST(SessionOptionsTest, ValidateRejectsNonPositiveWorkers) {
+  SessionOptions options;
   options.workers = 0;
   Status status = options.Validate();
   ASSERT_FALSE(status.ok());
@@ -371,15 +377,17 @@ TEST(EvaluationOptionsTest, ValidateRejectsNonPositiveWorkers) {
   EXPECT_FALSE(options.Validate().ok());
 }
 
-TEST(EvaluationOptionsTest, ValidateRejectsUnknownStrategy) {
-  EvaluationOptions options;
+TEST(PlanOptionsTest, ValidateRejectsUnknownStrategy) {
+  PlanOptions options;
   options.strategy = "definitely_not_a_strategy";
   Status status = options.Validate();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  // Prepare refuses it before compiling.
   auto unit = Parse("p(1).\n?- p(W).\n");
   ASSERT_TRUE(unit.ok());
-  auto result = Evaluate(unit->program, unit->database, options);
+  EngineFixture fixture(std::move(unit->database));
+  auto result = fixture.Run(unit->program, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }

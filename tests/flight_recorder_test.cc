@@ -27,9 +27,8 @@
 
 #include "datalog/parser.h"
 #include "engine/engine.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "graph/rule_goal_graph.h"
-#include "sips/strategy.h"
 
 namespace mpqe {
 namespace {
@@ -204,11 +203,14 @@ TEST(FlightRecorderTest, SessionTapRecordsTheWholeEventAlphabet) {
     ?- tc(1, W).
   )");
   ASSERT_TRUE(unit.ok()) << unit.status();
+  EngineFixture fixture(std::move(unit->database));
+  auto plan = fixture.engine().Prepare(fixture.snapshot(), unit->program);
+  ASSERT_TRUE(plan.ok()) << plan.status();
   FlightRecorder recorder;
-  EvaluationOptions options;
-  options.flight = &recorder;
-  options.query_id = 99;
-  auto result = Evaluate(unit->program, unit->database, options);
+  SessionWiring wiring;
+  wiring.flight = &recorder;
+  wiring.query_id = 99;
+  auto result = RunSession(**plan, SessionOptions(), wiring);
   ASSERT_TRUE(result.ok()) << result.status();
 
   std::set<uint8_t> types;
@@ -240,12 +242,10 @@ TEST(FlightRecorderTest, WatchdogDumpNamesTheParkedScc) {
     ?- tc(1, W).
   )");
   ASSERT_TRUE(unit.ok()) << unit.status();
-  ASSERT_TRUE(unit->program.Validate(&unit->database).ok());
-  auto strategy = MakeStrategyByName("greedy");
-  ASSERT_TRUE(strategy.ok());
-  auto built = RuleGoalGraph::Build(unit->program, **strategy);
-  ASSERT_TRUE(built.ok()) << built.status();
-  const RuleGoalGraph& graph = **built;
+  EngineFixture fixture(std::move(unit->database));
+  auto plan = fixture.engine().Prepare(fixture.snapshot(), unit->program);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const RuleGoalGraph& graph = (*plan)->graph();
 
   // Find a nontrivial-SCC member to park (prefer a non-leader, as the
   // CLI's --park-scc does).
@@ -273,17 +273,18 @@ TEST(FlightRecorderTest, WatchdogDumpNamesTheParkedScc) {
   SessionOptions options;
   options.scheduler = SchedulerKind::kThreaded;
   options.workers = 2;
-  options.query_id = 5;
-  options.flight = &recorder;
   options.watchdog_stall_ms = 150;
   options.fault_park_node = park;
   options.fault_park_ms = 1200;
-  options.flight_dump_sink = [&](const FlightDump& dump) {
+  SessionWiring wiring;
+  wiring.query_id = 5;
+  wiring.flight = &recorder;
+  wiring.flight_dump_sink = [&](const FlightDump& dump) {
     std::lock_guard<std::mutex> lock(dumps_mutex);
     dumps.push_back(dump);
   };
 
-  auto result = RunSession(graph, unit->database, options);
+  auto result = RunSession(**plan, options, wiring);
   ASSERT_TRUE(result.ok()) << result.status();
   // The park only delays; answers are unaffected.
   EXPECT_EQ(result->answers.size(), 4u);
@@ -359,15 +360,19 @@ TEST(FlightRecorderTest, WatchdogQuietOnHealthyRuns) {
     ?- tc(1, W).
   )");
   ASSERT_TRUE(unit.ok()) << unit.status();
+  EngineFixture fixture(std::move(unit->database));
+  auto plan = fixture.engine().Prepare(fixture.snapshot(), unit->program);
+  ASSERT_TRUE(plan.ok()) << plan.status();
   FlightRecorder recorder;
   int dumps = 0;
-  EvaluationOptions options;
+  SessionOptions options;
   options.scheduler = SchedulerKind::kThreaded;
   options.workers = 2;
-  options.flight = &recorder;
   options.watchdog_stall_ms = 2000;
-  options.flight_dump_sink = [&](const FlightDump&) { ++dumps; };
-  auto result = Evaluate(unit->program, unit->database, options);
+  SessionWiring wiring;
+  wiring.flight = &recorder;
+  wiring.flight_dump_sink = [&](const FlightDump&) { ++dumps; };
+  auto result = RunSession(**plan, options, wiring);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(dumps, 0);
 }

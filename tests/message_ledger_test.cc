@@ -11,7 +11,7 @@
 #include <cstdint>
 
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -33,7 +33,8 @@ Ledger RunTc(MakeGraph make) {
   EXPECT_TRUE(make(db).ok());
   Program program;
   EXPECT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  auto result = Evaluate(program, db);
+  EngineFixture fixture(std::move(db));
+  auto result = fixture.Run(program);
   EXPECT_TRUE(result.ok()) << result.status();
   if (!result.ok()) return {};
   EXPECT_TRUE(result->ended_by_protocol);

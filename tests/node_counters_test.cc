@@ -3,21 +3,25 @@
 #include <gtest/gtest.h>
 
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 
 namespace mpqe {
 namespace {
 
-TEST(NodeCountersTest, EmptyUnlessRequested) {
+TEST(NodeCountersTest, OneRowPerNodeInNodeOrder) {
   auto unit = Parse(R"(
     e(1, 2).
     p(X, Y) :- e(X, Y).
     ?- p(1, W).
   )");
   ASSERT_TRUE(unit.ok());
-  auto result = Evaluate(unit->program, unit->database);
+  EngineFixture fixture(std::move(unit->database));
+  auto result = fixture.Run(unit->program);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->node_counters.empty());
+  ASSERT_EQ(result->node_counters.size(), result->graph_stats.node_count);
+  for (size_t i = 0; i < result->node_counters.size(); ++i) {
+    EXPECT_EQ(result->node_counters[i].node, static_cast<NodeId>(i));
+  }
 }
 
 TEST(NodeCountersTest, RowsSumToAggregate) {
@@ -28,9 +32,8 @@ TEST(NodeCountersTest, RowsSumToAggregate) {
     ?- tc(1, W).
   )");
   ASSERT_TRUE(unit.ok());
-  EvaluationOptions options;
-  options.collect_node_counters = true;
-  auto result = Evaluate(unit->program, unit->database, options);
+  EngineFixture fixture(std::move(unit->database));
+  auto result = fixture.Run(unit->program);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->node_counters.size(), result->graph_stats.node_count);
 
@@ -55,9 +58,8 @@ TEST(NodeCountersTest, HotNodesShowUp) {
     ?- tc(1, W).
   )");
   ASSERT_TRUE(unit.ok());
-  EvaluationOptions options;
-  options.collect_node_counters = true;
-  auto result = Evaluate(unit->program, unit->database, options);
+  EngineFixture fixture(std::move(unit->database));
+  auto result = fixture.Run(unit->program);
   ASSERT_TRUE(result.ok());
   // At least one node stored multiple tuples (the recursive tc node).
   bool hot = false;

@@ -17,7 +17,7 @@
 
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "obs/logging_observer.h"
 #include "obs/metrics.h"
 #include "obs/trace_exporter.h"
@@ -115,9 +115,10 @@ TEST(MetricsObserverTest, EvaluationFillsRegistry) {
   auto unit = Parse(kTc);
   ASSERT_TRUE(unit.ok());
   MetricsRegistry registry;
-  EvaluationOptions options;
+  SessionOptions options;
   options.metrics = &registry;
-  auto result = Evaluate(unit->program, unit->database, options);
+  EngineFixture fixture(std::move(unit->database));
+  auto result = fixture.Run(unit->program, {}, options);
   ASSERT_TRUE(result.ok());
 
   // Live per-event metrics.
@@ -138,10 +139,8 @@ TEST(MetricsObserverTest, EvaluationFillsRegistry) {
             result->counters.stored_tuples);
   EXPECT_GT(registry.GetCounter("predicate/tc/stored_tuples").value(), 0u);
 
-  // Every phase ran exactly once.
-  for (const char* phase :
-       {"adornment", "graph_build", "network_wiring", "run", "drain",
-        "teardown"}) {
+  // Every session phase ran exactly once.
+  for (const char* phase : {"network_wiring", "run", "drain", "teardown"}) {
     EXPECT_EQ(registry.GetHistogram(StrCat("phase/", phase, "/ns")).count(),
               1u)
         << phase;
@@ -193,9 +192,10 @@ TEST(ObserverTest, RecordsEverySend) {
   auto unit = Parse(kTc);
   ASSERT_TRUE(unit.ok());
   SendCounter counter;
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&counter);
-  auto result = Evaluate(unit->program, unit->database, options);
+  EngineFixture fixture(std::move(unit->database));
+  auto result = fixture.Run(unit->program, {}, options);
   ASSERT_TRUE(result.ok());
   // OnSend fires once per send the network counts.
   EXPECT_EQ(counter.sends(), result->message_stats.Total());
@@ -209,12 +209,11 @@ TEST(ObserverTest, PhasesArriveInOrder) {
   auto unit = Parse(kTc);
   ASSERT_TRUE(unit.ok());
   PhaseRecorder recorder;
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&recorder);
-  ASSERT_TRUE(Evaluate(unit->program, unit->database, options).ok());
+  EngineFixture fixture(std::move(unit->database));
+  ASSERT_TRUE(fixture.Run(unit->program, {}, options).ok());
   std::vector<std::pair<Phase, bool>> expected = {
-      {Phase::kAdornment, true},     {Phase::kAdornment, false},
-      {Phase::kGraphBuild, true},    {Phase::kGraphBuild, false},
       {Phase::kNetworkWiring, true}, {Phase::kNetworkWiring, false},
       {Phase::kRun, true},           {Phase::kRun, false},
       {Phase::kDrain, true},         {Phase::kDrain, false},
@@ -291,12 +290,13 @@ TEST(ObserverTest, ThreadedSchedulerHonorsContract) {
     Program program;
     ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
     ContractMonitor monitor;
-    EvaluationOptions options;
+    SessionOptions options;
     options.scheduler = SchedulerKind::kThreaded;
     options.workers = 4;
     options.max_messages = 1000000;
     options.observers.push_back(&monitor);
-    auto result = Evaluate(program, db, options);
+    EngineFixture fixture(std::move(db));
+    auto result = fixture.Run(program, {}, options);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_GT(monitor.total_delivers(), 0u);
     EXPECT_EQ(monitor.serialization_violations(), 0u) << "round " << round;
@@ -332,10 +332,11 @@ TEST(ObserverTest, ObserversComposeInRegistrationOrder) {
   std::vector<int> first_event_order;
   CountingObserver a(&first_event_order, 1);
   CountingObserver b(&first_event_order, 2);
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&a);
   options.observers.push_back(&b);
-  auto result = Evaluate(unit->program, unit->database, options);
+  EngineFixture fixture(std::move(unit->database));
+  auto result = fixture.Run(unit->program, {}, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(a.sends(), result->message_stats.Total());
   EXPECT_EQ(a.sends(), b.sends());
@@ -363,9 +364,10 @@ TEST(ObserverTest, TerminationEventsOnCyclicWorkload) {
         by_kind_{};
   } recorder;
 
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&recorder);
-  auto result = Evaluate(program, db, options);
+  EngineFixture fixture(std::move(db));
+  auto result = fixture.Run(program, {}, options);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->ended_by_protocol);
   EXPECT_GT(recorder.count(TerminationEvent::Kind::kWaveStarted), 0u);
@@ -381,9 +383,10 @@ TEST(TraceExporterTest, StructurallySoundJson) {
   auto unit = Parse(kTc);
   ASSERT_TRUE(unit.ok());
   TraceExporter exporter;
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&exporter);
-  auto result = Evaluate(unit->program, unit->database, options);
+  EngineFixture fixture(std::move(unit->database));
+  auto result = fixture.Run(unit->program, {}, options);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(exporter.event_count(), 0u);
   EXPECT_EQ(exporter.dropped_events(), 0u);
@@ -414,9 +417,10 @@ TEST(TraceExporterTest, MaxEventsDropsInsteadOfGrowing) {
   TraceExporter::Options trace_options;
   trace_options.max_events = 5;
   TraceExporter exporter(trace_options);
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&exporter);
-  ASSERT_TRUE(Evaluate(unit->program, unit->database, options).ok());
+  EngineFixture fixture(std::move(unit->database));
+  ASSERT_TRUE(fixture.Run(unit->program, {}, options).ok());
   EXPECT_EQ(exporter.event_count(), 5u);
   EXPECT_GT(exporter.dropped_events(), 0u);
 }
@@ -429,9 +433,10 @@ TEST(TraceExporterTest, GoldenSummaryForTinyQuery) {
   auto unit = Parse(kTc);
   ASSERT_TRUE(unit.ok());
   TraceExporter exporter;
-  EvaluationOptions options;  // deterministic scheduler
+  SessionOptions options;  // deterministic scheduler
   options.observers.push_back(&exporter);
-  ASSERT_TRUE(Evaluate(unit->program, unit->database, options).ok());
+  EngineFixture fixture(std::move(unit->database));
+  ASSERT_TRUE(fixture.Run(unit->program, {}, options).ok());
   std::string summary = exporter.NormalizedSummary();
   ASSERT_FALSE(summary.empty());
 
@@ -468,9 +473,10 @@ TEST(LoggingObserverTest, EmitsLeveledThreadTaggedLines) {
   ASSERT_TRUE(unit.ok());
   std::ostringstream log;
   LoggingObserver logger(LogLevel::kInfo, &log);
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&logger);
-  auto result = Evaluate(unit->program, unit->database, options);
+  EngineFixture fixture(std::move(unit->database));
+  auto result = fixture.Run(unit->program, {}, options);
   ASSERT_TRUE(result.ok());
   std::string text = log.str();
   EXPECT_NE(text.find("[INFO"), std::string::npos);
@@ -488,9 +494,10 @@ TEST(LoggingObserverTest, DebugLevelAddsProtocolAnswers) {
   ASSERT_TRUE(unit.ok());
   std::ostringstream log;
   LoggingObserver logger(LogLevel::kDebug, &log);
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&logger);
-  ASSERT_TRUE(Evaluate(unit->program, unit->database, options).ok());
+  EngineFixture fixture(std::move(unit->database));
+  ASSERT_TRUE(fixture.Run(unit->program, {}, options).ok());
   EXPECT_NE(log.str().find("end_confirmed"), std::string::npos);
 }
 
@@ -506,7 +513,7 @@ TEST(LoggingObserverTest, LevelNamesResolve) {
   EXPECT_FALSE(empty->has_value());
   EXPECT_FALSE(EngineLogLevelFromName("verbose").ok());
   // An explicit bad level is a Validate-time configuration error.
-  EvaluationOptions options;
+  SessionOptions options;
   options.log_level = "verbose";
   EXPECT_FALSE(options.Validate().ok());
   options.log_level = "info";
@@ -515,7 +522,7 @@ TEST(LoggingObserverTest, LevelNamesResolve) {
 }
 
 TEST(ObserverTest, EnumNamesAreStable) {
-  EXPECT_STREQ(PhaseToString(Phase::kAdornment), "adornment");
+  EXPECT_STREQ(PhaseToString(Phase::kNetworkWiring), "network_wiring");
   EXPECT_STREQ(PhaseToString(Phase::kDrain), "drain");
   EXPECT_STREQ(PhaseToString(Phase::kTeardown), "teardown");
   EXPECT_STREQ(NodeRoleToString(NodeRole::kRule), "rule");

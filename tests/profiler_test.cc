@@ -3,7 +3,7 @@
 // per-node attribution on a hand-checkable transitive closure under
 // the deterministic scheduler, schedule invariance of the tuple
 // totals under the threaded scheduler, the database-sized cost model,
-// and the mpqe-profile-v3 JSON shape.
+// and the mpqe-profile-v4 JSON shape.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@
 #include <string>
 
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "obs/explain.h"
 #include "obs/profiler.h"
 #include "sips/cost_model.h"
@@ -43,10 +43,11 @@ const NodeProfile* FindNode(const ProfileReport& report, int32_t id) {
 StatusOr<EvaluationResult> RunProfiled(SchedulerKind scheduler) {
   auto unit = Parse(kTcShortcut);
   if (!unit.ok()) return unit.status();
-  EvaluationOptions options;
+  SessionOptions options;
   options.scheduler = scheduler;
   options.profile = true;
-  return Evaluate(unit->program, unit->database, options);
+  EngineFixture fixture(std::move(unit->database));
+  return fixture.Run(unit->program, {}, options);
 }
 
 // ---------------------------------------------------------------------------
@@ -122,18 +123,18 @@ TEST(ProfilerTest, DeterministicTcExactCounts) {
   EXPECT_GT(report.phase_ns[static_cast<size_t>(Phase::kRun)], 0u);
 }
 
-TEST(ProfilerTest, EvaluateMeasuresAllSixPhases) {
-  // One-shot Evaluate runs the plan phases (adornment, graph build)
-  // and the session phases (wiring, run, drain, teardown) under one
+TEST(ProfilerTest, SessionMeasuresEveryPhase) {
+  // A session runs its phases (wiring, run, drain, teardown) under one
   // profiler, and every phase has ended by the time the report is
-  // taken.
+  // taken. Plan time is the PreparedQuery's, not the session's.
   Database db;
   ASSERT_TRUE(workload::MakeChain(db, "edge", 64).ok());
   Program program;
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  EvaluationOptions options;
+  SessionOptions options;
   options.profile = true;
-  auto result = Evaluate(program, db, options);
+  EngineFixture fixture(std::move(db));
+  auto result = fixture.Run(program, {}, options);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_NE(result->profile, nullptr);
   const std::vector<uint64_t>& phase_ns = result->profile->phase_ns;
@@ -217,7 +218,7 @@ TEST(ProfilerTest, JsonReportShape) {
   auto result = RunProfiled(SchedulerKind::kDeterministic);
   ASSERT_TRUE(result.ok());
   std::string json = result->profile->ToJson();
-  EXPECT_NE(json.find("\"schema\": \"mpqe-profile-v3\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"mpqe-profile-v4\""), std::string::npos);
   EXPECT_EQ(json.find("batch_envelopes"), std::string::npos);
   EXPECT_NE(json.find("\"totals\""), std::string::npos);
   EXPECT_NE(json.find("\"nodes\""), std::string::npos);
@@ -230,16 +231,15 @@ TEST(ProfilerTest, JsonReportShape) {
 TEST(ProfilerTest, ExplainPlanModes) {
   auto unit = Parse(kTcShortcut);
   ASSERT_TRUE(unit.ok());
-  auto strategy = MakeStrategyByName("greedy");
-  ASSERT_TRUE(strategy.ok());
-  auto graph = RuleGoalGraph::Build(unit->program, **strategy);
-  ASSERT_TRUE(graph.ok());
-  CostModelParams params =
-      CostModelParamsFromDatabase(unit->program, unit->database);
+  EngineFixture fixture(std::move(unit->database));
+  auto plan = fixture.engine().Prepare(fixture.snapshot(), unit->program);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const RuleGoalGraph& graph = (*plan)->graph();
+  const CostModelParams& params = (*plan)->cost_params();
+  const SymbolTable* symbols = &fixture.db().symbols();
 
   // Plain EXPLAIN: adorned nodes + estimates, no actuals.
-  std::string plain = ExplainPlan(**graph, params, nullptr,
-                                  &unit->database.symbols());
+  std::string plain = ExplainPlan(graph, params, nullptr, symbols);
   EXPECT_NE(plain.find("EXPLAIN"), std::string::npos);
   EXPECT_NE(plain.find("est: ~10^"), std::string::npos);
   EXPECT_NE(plain.find("sips:"), std::string::npos);
@@ -248,15 +248,15 @@ TEST(ProfilerTest, ExplainPlanModes) {
   EXPECT_EQ(plain.find("act:"), std::string::npos);
 
   // EXPLAIN ANALYZE: actuals beside the estimates.
-  EvaluationOptions options;
+  // The session runs the cached plan rendered above.
+  SessionOptions options;
   options.profile = true;
-  auto result = EvaluateWithGraph(**graph, unit->database, options);
+  auto result = fixture.Run(unit->program, {}, options);
   ASSERT_TRUE(result.ok());
   ExplainOptions explain_options;
   explain_options.analyze = true;
-  std::string analyzed =
-      ExplainPlan(**graph, params, result->profile.get(),
-                  &unit->database.symbols(), explain_options);
+  std::string analyzed = ExplainPlan(graph, params, result->profile.get(),
+                                     symbols, explain_options);
   EXPECT_NE(analyzed.find("EXPLAIN ANALYZE"), std::string::npos);
   EXPECT_NE(analyzed.find("act:"), std::string::npos);
   EXPECT_NE(analyzed.find("waves 2"), std::string::npos);
@@ -268,9 +268,8 @@ TEST(ProfilerTest, ExplainPlanModes) {
   // A tight deviation threshold flags at least the recursive goal,
   // whose 8.8x deviation exceeds it.
   explain_options.deviation_factor = 2.0;
-  std::string flagged =
-      ExplainPlan(**graph, params, result->profile.get(),
-                  &unit->database.symbols(), explain_options);
+  std::string flagged = ExplainPlan(graph, params, result->profile.get(),
+                                    symbols, explain_options);
   EXPECT_NE(flagged.find("!! deviates"), std::string::npos);
   EXPECT_EQ(analyzed.find("!! deviates"), std::string::npos)
       << "default x10 threshold should not flag this run";
@@ -283,10 +282,11 @@ TEST(ProfilerTest, AggregatedMetricsDumpedPerNode) {
   auto unit = Parse(kTcShortcut);
   ASSERT_TRUE(unit.ok());
   MetricsRegistry metrics;
-  EvaluationOptions options;
+  SessionOptions options;
   options.profile = true;
   options.metrics = &metrics;
-  auto result = Evaluate(unit->program, unit->database, options);
+  EngineFixture fixture(std::move(unit->database));
+  auto result = fixture.Run(unit->program, {}, options);
   ASSERT_TRUE(result.ok());
   std::string dump = metrics.ToString();
   EXPECT_NE(dump.find("aggregated/node/0/tuples_out=2"), std::string::npos);

@@ -23,7 +23,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -73,11 +73,14 @@ struct Expected {
 };
 
 StatusOr<EvaluationResult> Run(const Workload& w,
-                               const EvaluationOptions& options) {
+                               const SessionOptions& options) {
   Database db;
   Program program;
   MPQE_RETURN_IF_ERROR(ParseWorkload(w, program, db));
-  return Evaluate(program, db, options);
+  PlanOptions plan;
+  plan.strategy = w.strategy;
+  EngineFixture fixture(std::move(db));
+  return fixture.Run(program, plan, options);
 }
 
 void CheckAllCells(const Workload& w, const Expected& want) {
@@ -100,8 +103,7 @@ void CheckAllCells(const Workload& w, const Expected& want) {
             scheduler == SchedulerKind::kDeterministic ? "deterministic"
                                                        : "threaded-4",
             " cap=", cap, " lineage=", lineage ? "on" : "off"));
-        EvaluationOptions options;
-        options.strategy = w.strategy;
+        SessionOptions options;
         options.scheduler = scheduler;
         options.workers = 4;
         options.segment_max_rows = cap;

@@ -16,7 +16,7 @@
 #include "baseline/bottom_up.h"
 #include "common/random.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "msg/segment.h"
 #include "obs/lineage.h"
 #include "workload/generators.h"
@@ -25,8 +25,8 @@ namespace mpqe {
 namespace {
 
 // The per-tuple wire: every segment carries exactly one row.
-EvaluationOptions PerTuple() {
-  EvaluationOptions options;
+SessionOptions PerTuple() {
+  SessionOptions options;
   options.segment_max_rows = 1;
   return options;
 }
@@ -125,8 +125,10 @@ TEST(SegmentTest, TransitiveClosureMatchesPerTuple) {
   Program p1, p2;
   ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), p1, db1).ok());
   ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), p2, db2).ok());
-  auto segmented = Evaluate(p1, db1);  // default row cap
-  auto per_tuple = Evaluate(p2, db2, PerTuple());
+  EngineFixture f1(std::move(db1));
+  EngineFixture f2(std::move(db2));
+  auto segmented = f1.Run(p1);  // default row cap
+  auto per_tuple = f2.Run(p2, {}, PerTuple());
   ASSERT_TRUE(segmented.ok()) << segmented.status();
   ASSERT_TRUE(per_tuple.ok());
   EXPECT_TRUE(segmented->answers == per_tuple->answers);
@@ -168,13 +170,15 @@ TEST(SegmentTest, WorksWithBatchingCoalescingAndSchedulers) {
         Program program;
         ASSERT_TRUE(
             ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-        EvaluationOptions options;
+        PlanOptions plan;
+        plan.graph_options.coalesce_nodes = coalesce == 1;
+        SessionOptions options;
         options.segment_max_rows = cap;
-        options.graph_options.coalesce_nodes = coalesce == 1;
         options.scheduler = static_cast<SchedulerKind>(sched);
         options.seed = 17;
         options.workers = 3;
-        auto result = Evaluate(program, db, options);
+        EngineFixture fixture(std::move(db));
+        auto result = fixture.Run(program, plan, options);
         ASSERT_TRUE(result.ok())
             << "cap=" << cap << " coalesce=" << coalesce
             << " sched=" << sched << ": " << result.status();
@@ -197,7 +201,8 @@ TEST(SegmentTest, ArityZeroProgramEvaluates) {
     ?- flooded.
   )");
   ASSERT_TRUE(unit.ok()) << unit.status().ToString();
-  auto result = Evaluate(unit->program, unit->database);
+  EngineFixture fixture(std::move(unit->database));
+  auto result = fixture.Run(unit->program);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->answers.arity(), 0u);
   EXPECT_EQ(result->answers.size(), 1u);
@@ -234,11 +239,12 @@ EvaluationResult EvalChainWithLineage(bool per_tuple, SchedulerKind scheduler) {
   EXPECT_TRUE(workload::MakeChain(db, "edge", 16).ok());
   Program program;
   EXPECT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  EvaluationOptions options = per_tuple ? PerTuple() : EvaluationOptions();
+  SessionOptions options = per_tuple ? PerTuple() : SessionOptions();
   options.scheduler = scheduler;
   options.workers = 3;
   options.lineage = true;
-  auto result = Evaluate(program, db, options);
+  EngineFixture fixture(std::move(db));
+  auto result = fixture.Run(program, {}, options);
   EXPECT_TRUE(result.ok()) << result.status();
   return *std::move(result);
 }
@@ -279,10 +285,11 @@ TEST(SegmentTest, SegmentsRespectTheRowCap) {
     Program program;
     ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
     SegmentRecorder recorder;
-    EvaluationOptions options;
+    SessionOptions options;
     options.segment_max_rows = cap;
     options.observers.push_back(&recorder);
-    auto result = Evaluate(program, db, options);
+    EngineFixture fixture(std::move(db));
+    auto result = fixture.Run(program, {}, options);
     ASSERT_TRUE(result.ok()) << result.status();
     // Nonlinear TC on a 16-cycle produces answer runs well past 8
     // rows, so the cap must split them into multiple full segments.
@@ -299,9 +306,10 @@ TEST(SegmentTest, RowCapMustBePositive) {
   ASSERT_TRUE(workload::MakeChain(db, "edge", 4).ok());
   Program program;
   ASSERT_TRUE(ParseInto(workload::LinearTcProgram(0), program, db).ok());
-  EvaluationOptions options;
+  SessionOptions options;
   options.segment_max_rows = 0;
-  auto result = Evaluate(program, db, options);
+  EngineFixture fixture(std::move(db));
+  auto result = fixture.Run(program, {}, options);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -333,12 +341,13 @@ TEST(SegmentTest, CapOneMatchesDefaultCapMatrix) {
     EXPECT_TRUE(workload::MakeCycle(db, "edge", 12).ok());
     Program program;
     EXPECT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
-    EvaluationOptions options = per_tuple ? PerTuple() : EvaluationOptions();
+    SessionOptions options = per_tuple ? PerTuple() : SessionOptions();
     options.scheduler = scheduler;
     options.seed = 23;
     options.workers = 3;
     options.lineage = lineage;
-    auto result = Evaluate(program, db, options);
+    EngineFixture fixture(std::move(db));
+    auto result = fixture.Run(program, {}, options);
     EXPECT_TRUE(result.ok()) << result.status();
     return *std::move(result);
   };
@@ -383,10 +392,11 @@ TEST_P(BatchedRandomEquivalence, MatchesSemiNaive) {
   ASSERT_TRUE(rp.ok());
   auto truth = SemiNaiveBottomUp(rp->unit.program, rp->unit.database);
   ASSERT_TRUE(truth.ok());
-  EvaluationOptions eval;
+  SessionOptions eval;
   eval.segment_max_rows = 2;
   eval.max_messages = 5000000;
-  auto result = Evaluate(rp->unit.program, rp->unit.database, eval);
+  EngineFixture fixture(std::move(rp->unit.database));
+  auto result = fixture.Run(rp->unit.program, {}, eval);
   if (!result.ok() &&
       result.status().code() == StatusCode::kResourceExhausted) {
     GTEST_SKIP() << "graph blow-up (no coalescing): " << result.status();
@@ -413,9 +423,10 @@ TEST(SegmentTest, FanOutSharesOneSegmentAcrossConsumers) {
   Program program;
   ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
   SegmentRecorder recorder;
-  EvaluationOptions options;
+  SessionOptions options;
   options.observers.push_back(&recorder);
-  auto result = Evaluate(program, db, options);
+  EngineFixture fixture(std::move(db));
+  auto result = fixture.Run(program, {}, options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GT(recorder.shared_segments(), 0u);
 }

@@ -17,7 +17,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "datalog/parser.h"
-#include "engine/evaluator.h"
+#include "engine_fixture.h"
 #include "workload/generators.h"
 
 namespace mpqe {
@@ -122,16 +122,18 @@ TEST(StreamOrderTest, RecursiveCycleWorkload) {
     Program program;
     ASSERT_TRUE(ParseInto(workload::NonlinearTcProgram(0), program, db).ok());
     StreamMonitor monitor;
-    EvaluationOptions options;
+    SessionOptions options;
     options.scheduler = config.scheduler;
     options.seed = config.seed;
     options.workers = 3;
-    options.graph_options.coalesce_nodes = config.coalesce;
     options.segment_max_rows = config.segment_max_rows;
     // Guard: a protocol regression must fail fast, not hang the test.
     options.max_messages = 1000000;
     options.observers.push_back(&monitor);
-    auto result = Evaluate(program, db, options);
+    PlanOptions plan;
+    plan.graph_options.coalesce_nodes = config.coalesce;
+    EngineFixture fixture(std::move(db));
+    auto result = fixture.Run(program, plan, options);
     ASSERT_TRUE(result.ok()) << config.name << ": " << result.status();
     EXPECT_TRUE(result->ended_by_protocol) << config.name;
     monitor.ExpectClean(config.name);
@@ -156,15 +158,17 @@ TEST(StreamOrderTest, MutualRecursionWorkload) {
     )");
     ASSERT_TRUE(unit.ok());
     StreamMonitor monitor;
-    EvaluationOptions options;
+    SessionOptions options;
     options.scheduler = config.scheduler;
     options.seed = config.seed;
-    options.graph_options.coalesce_nodes = config.coalesce;
     options.segment_max_rows = config.segment_max_rows;
     // Guard: a protocol regression must fail fast, not hang the test.
     options.max_messages = 1000000;
     options.observers.push_back(&monitor);
-    auto result = Evaluate(unit->program, unit->database, options);
+    PlanOptions plan;
+    plan.graph_options.coalesce_nodes = config.coalesce;
+    EngineFixture fixture(std::move(unit->database));
+    auto result = fixture.Run(unit->program, plan, options);
     ASSERT_TRUE(result.ok()) << config.name;
     monitor.ExpectClean(config.name);
   }
@@ -177,12 +181,13 @@ TEST(StreamOrderTest, RandomProgramsUnderRandomSchedules) {
     auto rp = workload::MakeRandomProgram(program_options, rng);
     ASSERT_TRUE(rp.ok());
     StreamMonitor monitor;
-    EvaluationOptions options;
+    SessionOptions options;
     options.scheduler = SchedulerKind::kRandom;
     options.seed = seed;
     options.max_messages = 5000000;
     options.observers.push_back(&monitor);
-    auto result = Evaluate(rp->unit.program, rp->unit.database, options);
+    EngineFixture fixture(std::move(rp->unit.database));
+    auto result = fixture.Run(rp->unit.program, {}, options);
     if (!result.ok() &&
         result.status().code() == StatusCode::kResourceExhausted) {
       continue;  // graph blow-up; covered elsewhere
