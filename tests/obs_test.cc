@@ -109,42 +109,137 @@ TEST(MetricsTest, RegistryJsonIsWellFormedish) {
 }
 
 // ---------------------------------------------------------------------------
-// Evaluation-level metrics plumbing
+// Session metrics
 
-TEST(MetricsObserverTest, EvaluationFillsRegistry) {
-  auto unit = Parse(kTc);
-  ASSERT_TRUE(unit.ok());
-  MetricsRegistry registry;
+using CounterRows = std::vector<std::pair<std::string, uint64_t>>;
+
+// Runs `text` once under the deterministic scheduler and fills
+// `registry` with the session's metrics.
+void RunSessionMetrics(const char* text, const PlanOptions& plan_options,
+                       MetricsRegistry& registry) {
+  auto unit = Parse(text);
+  ASSERT_TRUE(unit.ok()) << unit.status();
   SessionOptions options;
   options.metrics = &registry;
   EngineFixture fixture(std::move(unit->database));
-  auto result = fixture.Run(unit->program, {}, options);
-  ASSERT_TRUE(result.ok());
+  auto result = fixture.Run(unit->program, plan_options, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+}
 
-  // Live per-event metrics.
-  uint64_t sent = 0;
-  for (const auto& [name, value] : registry.CounterRows()) {
-    if (name.rfind("msg/sent/", 0) == 0) sent += value;
-  }
-  EXPECT_EQ(sent, result->message_stats.Total());
-  EXPECT_EQ(registry.GetCounter("msg/delivered").value(), result->delivered);
-  EXPECT_GT(registry.GetCounter("node/fires").value(), 0u);
-  EXPECT_EQ(registry.GetHistogram("msg/handle_ns").count(),
-            result->delivered);
-
-  // End-of-run dumps.
-  EXPECT_EQ(registry.GetCounter("run/answers").value(),
-            result->answers.size());
-  EXPECT_EQ(registry.GetCounter("engine/stored_tuples").value(),
-            result->counters.stored_tuples);
-  EXPECT_GT(registry.GetCounter("predicate/tc/stored_tuples").value(), 0u);
-
-  // Every session phase ran exactly once.
+// Every counter family, pinned exactly; the four session phases are
+// timed once each.
+void ExpectSessionMetrics(const char* text, const PlanOptions& plan_options,
+                          const CounterRows& expected) {
+  MetricsRegistry registry;
+  RunSessionMetrics(text, plan_options, registry);
+  EXPECT_EQ(registry.CounterRows(), expected);
   for (const char* phase : {"network_wiring", "run", "drain", "teardown"}) {
     EXPECT_EQ(registry.GetHistogram(StrCat("phase/", phase, "/ns")).count(),
               1u)
         << phase;
   }
+}
+
+TEST(SessionMetricsTest, ReductionPinsEveryCounter) {
+  // Right-linear TC: one nontrivial SCC; its leader concludes once and
+  // two members conclude on kSccConcluded.
+  ExpectSessionMetrics(kTc, {}, {
+      {"dedup/hits", 0}, {"engine/contexts", 14},
+      {"engine/duplicate_drops", 0}, {"engine/max_node_relation", 2},
+      {"engine/protocol_waves", 2}, {"engine/stored_tuples", 10},
+      {"msg/delivered", 70}, {"msg/segment_rows", 14},
+      {"msg/sent/batch", 0}, {"msg/sent/end", 14},
+      {"msg/sent/end_confirmed", 2}, {"msg/sent/end_negative", 2},
+      {"msg/sent/end_request", 4}, {"msg/sent/relation_request", 14},
+      {"msg/sent/scc_concluded", 2}, {"msg/sent/tuple", 0},
+      {"msg/sent/tuple_request", 18}, {"msg/sent/tuple_segment", 14},
+      {"msg/sent/work_notice", 0},
+      {"node/0/fires", 5}, {"node/1/fires", 5}, {"node/10/fires", 11},
+      {"node/11/fires", 3}, {"node/12/fires", 5}, {"node/2/fires", 6},
+      {"node/3/fires", 4}, {"node/4/fires", 2}, {"node/5/fires", 6},
+      {"node/6/fires", 2}, {"node/7/fires", 9}, {"node/8/fires", 6},
+      {"node/9/fires", 3}, {"node/fires", 67},
+      {"predicate/edge/dedup_hits", 0}, {"predicate/edge/stored_tuples", 0},
+      {"predicate/goal/dedup_hits", 0}, {"predicate/goal/stored_tuples", 4},
+      {"predicate/tc/dedup_hits", 0}, {"predicate/tc/stored_tuples", 6},
+      {"run/answers", 2}, {"run/delivered", 70},
+      {"run/ended_by_protocol", 1},
+      {"termination/answer_confirmed", 2},
+      {"termination/answer_negative", 2}, {"termination/concluded", 3},
+      {"termination/wave_started", 2}, {"termination/work_notice", 0},
+  });
+
+  // Nonlinear TC over a 4-cycle: multi-member SCCs whose leaders
+  // conclude twice, so `concluded` (7) is not kSccConcluded sends (5)
+  // plus one.
+  ExpectSessionMetrics(R"(
+    e(1, 2). e(2, 3). e(3, 4). e(4, 1).
+    tc(X, Y) :- e(X, Y).
+    tc(X, Y) :- tc(X, Z), tc(Z, Y).
+    ?- tc(1, W).
+  )", {}, {
+      {"dedup/hits", 65}, {"engine/contexts", 120},
+      {"engine/duplicate_drops", 65}, {"engine/max_node_relation", 16},
+      {"engine/protocol_waves", 21}, {"engine/stored_tuples", 53},
+      {"msg/delivered", 273}, {"msg/segment_rows", 130},
+      {"msg/sent/batch", 0}, {"msg/sent/end", 17},
+      {"msg/sent/end_confirmed", 17}, {"msg/sent/end_negative", 29},
+      {"msg/sent/end_request", 46}, {"msg/sent/relation_request", 16},
+      {"msg/sent/scc_concluded", 5}, {"msg/sent/tuple", 0},
+      {"msg/sent/tuple_request", 40}, {"msg/sent/tuple_segment", 103},
+      {"msg/sent/work_notice", 0},
+      {"node/0/fires", 7}, {"node/1/fires", 7}, {"node/10/fires", 41},
+      {"node/11/fires", 23}, {"node/12/fires", 20}, {"node/2/fires", 27},
+      {"node/3/fires", 4}, {"node/4/fires", 2}, {"node/5/fires", 58},
+      {"node/6/fires", 24}, {"node/7/fires", 37}, {"node/8/fires", 13},
+      {"node/9/fires", 5}, {"node/fires", 268},
+      {"predicate/e/dedup_hits", 0}, {"predicate/e/stored_tuples", 0},
+      {"predicate/goal/dedup_hits", 0}, {"predicate/goal/stored_tuples", 8},
+      {"predicate/tc/dedup_hits", 65}, {"predicate/tc/stored_tuples", 45},
+      {"run/answers", 4}, {"run/delivered", 273},
+      {"run/ended_by_protocol", 1},
+      {"termination/answer_confirmed", 17},
+      {"termination/answer_negative", 29}, {"termination/concluded", 7},
+      {"termination/wave_started", 21}, {"termination/work_notice", 0},
+  });
+
+  // Coalesced mutual recursion entered from outside at a non-leader
+  // member: the footnote-4 work notices.
+  PlanOptions coalesced;
+  coalesced.graph_options.coalesce_nodes = true;
+  ExpectSessionMetrics(R"(
+    e(1, 2). e(2, 3). e(3, 4). e(4, 1). e(2, 5).
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- e(X, Z), q(Z, Y).
+    q(X, Y) :- e(X, Z), p(Z, Y).
+    t(X, Y) :- e(X, Z), p(Z, V), q(V, Y).
+    ?- t(1, W).
+  )", coalesced, {
+      {"dedup/hits", 6}, {"engine/contexts", 42},
+      {"engine/duplicate_drops", 6}, {"engine/max_node_relation", 6},
+      {"engine/protocol_waves", 5}, {"engine/stored_tuples", 39},
+      {"msg/delivered", 136}, {"msg/segment_rows", 57},
+      {"msg/sent/batch", 0}, {"msg/sent/end", 18},
+      {"msg/sent/end_confirmed", 5}, {"msg/sent/end_negative", 10},
+      {"msg/sent/end_request", 15}, {"msg/sent/relation_request", 15},
+      {"msg/sent/scc_concluded", 3}, {"msg/sent/tuple", 0},
+      {"msg/sent/tuple_request", 28}, {"msg/sent/tuple_segment", 39},
+      {"msg/sent/work_notice", 3},
+      {"node/0/fires", 5}, {"node/1/fires", 5}, {"node/10/fires", 19},
+      {"node/2/fires", 5}, {"node/3/fires", 14}, {"node/4/fires", 2},
+      {"node/5/fires", 21}, {"node/6/fires", 23}, {"node/7/fires", 7},
+      {"node/8/fires", 10}, {"node/9/fires", 22}, {"node/fires", 133},
+      {"predicate/e/dedup_hits", 0}, {"predicate/e/stored_tuples", 0},
+      {"predicate/goal/dedup_hits", 0}, {"predicate/goal/stored_tuples", 6},
+      {"predicate/p/dedup_hits", 3}, {"predicate/p/stored_tuples", 15},
+      {"predicate/q/dedup_hits", 0}, {"predicate/q/stored_tuples", 12},
+      {"predicate/t/dedup_hits", 3}, {"predicate/t/stored_tuples", 6},
+      {"run/answers", 3}, {"run/delivered", 136},
+      {"run/ended_by_protocol", 1},
+      {"termination/answer_confirmed", 5},
+      {"termination/answer_negative", 10}, {"termination/concluded", 4},
+      {"termination/wave_started", 5}, {"termination/work_notice", 3},
+  });
 }
 
 // ---------------------------------------------------------------------------
