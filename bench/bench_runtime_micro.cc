@@ -14,7 +14,6 @@
 #include "msg/network.h"
 #include "obs/flight_recorder.h"
 #include "obs/lineage.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "relational/operators.h"
 
@@ -295,36 +294,6 @@ void BM_SegmentHopDedup(benchmark::State& state) {
                           static_cast<int64_t>(kSegmentRows));
 }
 BENCHMARK(BM_SegmentHopDedup);
-
-// The telemetry-overhead guard: same dedup hop as BM_SegmentHopDedup,
-// but with a MetricsObserver attached — the exact observer every
-// telemetry-on engine session runs with (per-message counters, handle
-// histograms, per-node fire counts). bench_guard.py --telemetry
-// asserts this stays within 1.05x of BM_SegmentHopDedup; the off-path
-// remains the zero-observer fast path and must not move at all.
-void BM_SegmentHopTelemetry(benchmark::State& state) {
-  const int64_t kHops = 1000;
-  for (auto _ : state) {
-    Network net;
-    MetricsRegistry registry;
-    MetricsObserver observer(&registry);
-    net.AddObserver(&observer);
-    net.AddProcess(
-        std::make_unique<SegmentDedupHop>(1, nullptr, &net.observers()));
-    net.AddProcess(
-        std::make_unique<SegmentDedupHop>(0, nullptr, &net.observers()));
-    net.Start();
-    net.Send(kNoProcess, 0, MakeTupleSegment(MakeSeedSegment(kHops)));
-    auto run = net.RunDeterministic();
-    MPQE_CHECK(run.ok() && run->quiescent);
-    MPQE_CHECK(registry.GetCounter("msg/delivered").value() ==
-               static_cast<uint64_t>(kHops) + 1);
-    benchmark::DoNotOptimize(registry);
-  }
-  state.SetItemsProcessed(state.iterations() * (kHops + 1) *
-                          static_cast<int64_t>(kSegmentRows));
-}
-BENCHMARK(BM_SegmentHopTelemetry);
 
 // As BM_SegmentHopDedup with full lineage recording: per row an id
 // assignment and a lineage-column push, per segment ONE batched derive

@@ -55,8 +55,6 @@ int main() {
   // One session = one execution. Defaults: greedy sips (chosen at
   // prepare time), deterministic scheduler.
   mpqe::SessionOptions options;
-  mpqe::MetricsRegistry metrics;  // filled live during the run
-  options.metrics = &metrics;
   auto session = engine.CreateSession(*plan, options);
   if (!session.ok()) {
     std::cerr << "session error: " << session.status() << "\n";
@@ -85,6 +83,9 @@ int main() {
     std::cout << "\n" << engine.plan_cache_stats().ToString() << "\n";
   }
 
+  // Named metrics are a reduction of the finished session's result.
+  mpqe::MetricsRegistry metrics;
+  mpqe::AppendSessionMetrics(**plan, *result, metrics);
   std::cout << "\nmetrics:\n" << metrics.ToString();
   return 0;
 }

@@ -2,7 +2,7 @@
 """Validate observability JSON artifacts.
 
 Usage: check_trace.py trace.json            # Chrome trace (TraceExporter)
-       check_trace.py --profile profile.json  # mpqe-profile-v4 (profiler)
+       check_trace.py --profile profile.json  # mpqe-profile-v5 (profiler)
        check_trace.py --lineage lineage.json  # mpqe-lineage-v1 (provenance)
        check_trace.py --prometheus scrape.txt [--queries querylog.json]
                                               # /metrics exposition + query log
@@ -22,7 +22,7 @@ Trace checks (stdlib only, exit 0 = valid, 1 = invalid):
     delivery);
   * metadata ("M") names every thread that appears in events.
 
-Profile checks (--profile, schema "mpqe-profile-v4"):
+Profile checks (--profile, schema "mpqe-profile-v5"):
   * top-level schema marker, totals, phases, nodes, sccs all present;
   * every phase key names a session phase (network_wiring, run,
     drain, teardown) with a non-negative int, and all four are
@@ -30,7 +30,8 @@ Profile checks (--profile, schema "mpqe-profile-v4"):
   * every node row has the full counter set (including the segment
     envelope counters segments_in/out and segment_rows_in/out), node
     ids are unique, and derived ratios (dup_hit_rate, selectivity,
-    rows_per_segment_out) are consistent with the raw counters;
+    rows_per_segment_out, batch_dedup_hit_rate over tuples_in) are
+    consistent with the raw counters;
   * segment rows imply segment envelopes and vice versa (a shipped
     segment is never empty);
   * estimate-bearing nodes carry est_log10_tuples and
@@ -99,7 +100,7 @@ KNOWN_PHASES = {"X", "s", "f", "i", "C", "M", "B", "E"}
 NODE_COUNTERS = [
     "fires", "requests_in", "tuples_in", "tuples_out", "dedup_hits",
     "msgs_in", "msgs_out", "segments_in", "segments_out", "segment_rows_in",
-    "segment_rows_out", "batch_rows_in", "batch_dedup_hits",
+    "segment_rows_out", "batch_dedup_hits",
     "fire_ns", "queue_wait_ns",
 ]
 
@@ -127,8 +128,8 @@ def load(path):
 
 def check_profile(path):
     report = load(path)
-    if report.get("schema") != "mpqe-profile-v4":
-        fail(f'schema is {report.get("schema")!r}, expected "mpqe-profile-v4"')
+    if report.get("schema") != "mpqe-profile-v5":
+        fail(f'schema is {report.get("schema")!r}, expected "mpqe-profile-v5"')
     for key in ("totals", "phases", "nodes", "sccs"):
         if key not in report:
             fail(f'top-level "{key}" missing')
@@ -198,17 +199,13 @@ def check_profile(path):
             fail(f'node {nid} rows_per_segment_in '
                  f'{n.get("rows_per_segment_in")!r} inconsistent with '
                  f"counters (want {want_rpsi:.6f})")
-        # Batch counters cover the subset of traffic that arrived in
-        # segments/envelopes, so they are bounded by the totals.
-        if n["batch_rows_in"] > n["tuples_in"] + n["dedup_hits"]:
-            fail(f'node {nid} batch_rows_in {n["batch_rows_in"]} exceeds '
-                 f'tuples_in + dedup_hits '
-                 f'{n["tuples_in"] + n["dedup_hits"]}')
+        # Batch dedup hits are the subset of dedup hits from segment
+        # arrivals, whose rows are tuples_in.
         if n["batch_dedup_hits"] > n["dedup_hits"]:
             fail(f'node {nid} batch_dedup_hits {n["batch_dedup_hits"]} '
                  f'exceeds dedup_hits {n["dedup_hits"]}')
-        want_bhr = (n["batch_dedup_hits"] / n["batch_rows_in"]
-                    if n["batch_rows_in"] else 0.0)
+        want_bhr = (n["batch_dedup_hits"] / n["tuples_in"]
+                    if n["tuples_in"] else 0.0)
         if abs(n.get("batch_dedup_hit_rate", -1) - want_bhr) > 1e-4:
             fail(f'node {nid} batch_dedup_hit_rate '
                  f'{n.get("batch_dedup_hit_rate")!r} inconsistent with '

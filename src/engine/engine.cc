@@ -180,27 +180,10 @@ StatusOr<EvaluationResult> QuerySession::Run() {
   MPQE_RETURN_IF_ERROR(snapshot.BeginSession(exclusive));
 
   EngineTelemetry* telemetry = wiring_.telemetry;
-  // With telemetry on, a SAMPLE of sessions (every Nth —
-  // TelemetryOptions::session_metrics_every) collects deep metrics:
-  // the session registry is merged into the engine-lifetime one on
-  // completion. Observation forfeits the network's zero-observer fast
-  // path, so doing this for every session would cost far more than the
-  // 5% telemetry budget on message-heavy queries. When the caller
-  // brought their own registry it is used as-is but NOT merged (they
-  // own those numbers, and a caller registry spans sessions — merging
-  // would double-count) — the query-log entry is still recorded, just
-  // without the fire_ns breakdown.
-  MetricsRegistry session_metrics;
-  SessionOptions run_options = options_;
-  const bool own_metrics = telemetry != nullptr &&
-                           run_options.metrics == nullptr &&
-                           telemetry->ShouldSampleSessionMetrics();
-  if (own_metrics) run_options.metrics = &session_metrics;
   if (telemetry != nullptr) telemetry->OnSessionStart();
 
   const uint64_t start = NowNs();
-  StatusOr<EvaluationResult> result =
-      RunSession(*plan_, run_options, wiring_);
+  StatusOr<EvaluationResult> result = RunSession(*plan_, options_, wiring_);
   latency_ns_ = NowNs() - start;
   snapshot.EndSession(exclusive);
   if (telemetry != nullptr) {
@@ -225,8 +208,14 @@ StatusOr<EvaluationResult> QuerySession::Run() {
     entry.wall_ns = latency_ns_;
     entry.status =
         result.ok() ? "ok" : StatusCodeToString(result.status().code());
-    telemetry->OnSessionComplete(std::move(entry),
-                                 own_metrics ? &session_metrics : nullptr);
+    if (result.ok()) {
+      AppendSessionMetrics(*plan_, *result, telemetry->registry());
+      if (const ProfileReport* profile = result->profile.get()) {
+        entry.fire_ns = profile->total_fire_ns;
+        entry.queue_wait_ns = profile->total_queue_wait_ns;
+      }
+    }
+    telemetry->OnSessionComplete(std::move(entry));
   }
   return result;
 }

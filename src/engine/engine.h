@@ -29,7 +29,7 @@
 //   snapshot. Any number of concurrent sessions may share one plan.
 //
 // * QuerySession is one execution: scheduler choice, wire format,
-//   observers, metrics (SessionOptions), plus the engine's own wiring
+//   observers, profiling (SessionOptions), plus the engine's own wiring
 //   (SessionWiring: query id, telemetry, flight recorder, dump sink).
 //   Sessions with lineage enabled take the snapshot exclusively
 //   (provenance instrumentation writes id allocators into the shared
@@ -81,16 +81,15 @@ struct EngineOptions {
   // registry (plan_cache/hit, plan_cache/miss, plan_cache/evictions,
   // plan_cache/index_builds_skipped and engine/sessions counters;
   // engine/prepare_ns and engine/session_latency_ns histograms;
-  // merged session metrics), the structured query log, query-id
-  // minting, live gauges. On by default; the switch exists for
+  // every completed session's metrics), the structured query log,
+  // query-id minting, live gauges. On by default; the switch exists for
   // overhead A/B runs (bench/bench_concurrent --telemetry=off) — with
-  // it off no engine metrics are recorded, sessions skip the built-in
-  // metrics collection entirely, no query ids are minted and the stats
+  // it off no engine metrics are recorded, no session result is
+  // reduced into a registry, no query ids are minted and the stats
   // server cannot start.
   bool telemetry = true;
 
-  // Query-log capacity / slow-query threshold / session-metrics
-  // sampling (see obs/telemetry.h).
+  // Query-log capacity and slow-query threshold (see obs/telemetry.h).
   TelemetryOptions telemetry_options = {};
 
   // TCP port of the built-in stats endpoint (GET /metrics, /queries,

@@ -1,6 +1,7 @@
 #include "engine/evaluator.h"
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <optional>
 
@@ -67,12 +68,11 @@ Status SessionOptions::Validate() const {
 namespace {
 
 // The observers of one session: the caller's ExecutionObservers, plus
-// (when configured) the flight recorder's, an internal MetricsObserver
-// and the ones backing SessionOptions::profile, lineage and log_level.
-// The internal observers live exactly as long as the session.
+// (when configured) the flight recorder's and the ones backing
+// SessionOptions::profile, lineage and log_level. The internal
+// observers live exactly as long as the session.
 struct ScopedObservers {
   ObserverList list;
-  std::optional<MetricsObserver> metrics;
   std::optional<ProfilingObserver> profiler;
   std::optional<LineageObserver> lineage;
   std::optional<LoggingObserver> logger;
@@ -84,10 +84,6 @@ struct ScopedObservers {
     if (wiring.flight != nullptr) {
       flight.emplace(wiring.flight, wiring.query_id);
       list.Add(&*flight);
-    }
-    if (options.metrics != nullptr) {
-      metrics.emplace(options.metrics);
-      list.Add(&*metrics);
     }
     if (options.profile) {
       profiler.emplace();
@@ -108,15 +104,27 @@ struct ScopedObservers {
   }
 };
 
-// RAII phase reporter: begin on construction, end on destruction.
+uint64_t NowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+// RAII phase clock: times the phase into result.phase_ns and reports
+// its begin and end to the observers.
 class ScopedPhase {
  public:
-  ScopedPhase(const ObserverList& list, Phase phase)
-      : list_(list), phase_(phase) {
+  ScopedPhase(const ObserverList& list, Phase phase, EvaluationResult& result)
+      : list_(list),
+        phase_(phase),
+        ns_(result.phase_ns[static_cast<size_t>(phase)]),
+        begin_ns_(NowNs()) {
     if (list_.empty()) return;
     list_.NotifyPhase(PhaseEvent{phase_, /*begin=*/true});
   }
   ~ScopedPhase() {
+    ns_ = NowNs() - begin_ns_;
     if (list_.empty()) return;
     list_.NotifyPhase(PhaseEvent{phase_, /*begin=*/false});
   }
@@ -124,65 +132,15 @@ class ScopedPhase {
  private:
   const ObserverList& list_;
   Phase phase_;
+  uint64_t& ns_;
+  uint64_t begin_ns_;
 };
 
 // The predicate a graph node computes/serves (for the per-predicate
-// metric dump).
+// metric families).
 PredicateId NodePredicate(const GraphNode& node) {
   return node.kind == NodeKind::kRule ? node.rule.head.predicate
                                       : node.atom.predicate;
-}
-
-void DumpMetrics(MetricsRegistry& registry, const RuleGoalGraph& graph,
-                 const EvaluationResult& result) {
-  registry.GetCounter("engine/stored_tuples")
-      .Increment(result.counters.stored_tuples);
-  registry.GetCounter("engine/duplicate_drops")
-      .Increment(result.counters.duplicate_drops);
-  registry.GetCounter("engine/contexts").Increment(result.counters.contexts);
-  registry.GetCounter("engine/max_node_relation")
-      .Increment(result.counters.max_node_relation);
-  registry.GetCounter("engine/protocol_waves")
-      .Increment(result.counters.protocol_waves);
-  registry.GetCounter("run/answers").Increment(result.answers.size());
-  registry.GetCounter("run/delivered").Increment(result.delivered);
-  registry.GetCounter("run/ended_by_protocol")
-      .Increment(result.ended_by_protocol ? 1 : 0);
-
-  const PredicatePool& predicates = graph.program().predicates();
-  for (const NodeCounters& row : result.node_counters) {
-    const std::string& name =
-        predicates.Name(NodePredicate(graph.node(row.node)));
-    registry.GetCounter(StrCat("predicate/", name, "/stored_tuples"))
-        .Increment(row.counters.stored_tuples);
-    registry.GetCounter(StrCat("predicate/", name, "/dedup_hits"))
-        .Increment(row.counters.duplicate_drops);
-  }
-}
-
-// Per-node profiler counters as aggregated/node/<id>/<field> metric
-// entries (the MetricsRegistry dump is the one sink CI scrapes).
-void DumpProfileMetrics(const ProfileReport& report,
-                        MetricsRegistry& registry) {
-  for (const NodeProfile& n : report.nodes) {
-    std::string prefix = StrCat("aggregated/node/", n.node, "/");
-    registry.GetCounter(StrCat(prefix, "fires")).Increment(n.fires);
-    registry.GetCounter(StrCat(prefix, "tuples_in")).Increment(n.tuples_in);
-    registry.GetCounter(StrCat(prefix, "tuples_out")).Increment(n.tuples_out);
-    registry.GetCounter(StrCat(prefix, "dedup_hits")).Increment(n.dedup_hits);
-    registry.GetCounter(StrCat(prefix, "msgs_in")).Increment(n.msgs_in);
-    registry.GetCounter(StrCat(prefix, "msgs_out")).Increment(n.msgs_out);
-    registry.GetCounter(StrCat(prefix, "segments_out")).Increment(n.segments_out);
-    registry.GetCounter(StrCat(prefix, "segment_rows_out"))
-        .Increment(n.segment_rows_out);
-    registry.GetCounter(StrCat(prefix, "batch_rows_in"))
-        .Increment(n.batch_rows_in);
-    registry.GetCounter(StrCat(prefix, "batch_dedup_hits"))
-        .Increment(n.batch_dedup_hits);
-    registry.GetCounter(StrCat(prefix, "fire_ns")).Increment(n.fire_ns);
-    registry.GetCounter(StrCat(prefix, "queue_wait_ns"))
-        .Increment(n.queue_wait_ns);
-  }
 }
 
 // The watchdog's per-tick log: one WARNING line with the nonempty
@@ -390,10 +348,11 @@ StatusOr<EvaluationResult> RunScoped(const PreparedQuery& plan, Database& db,
   shared.fault_park_node = options.fault_park_node;
   shared.fault_park_ms = options.fault_park_ms;
 
+  EvaluationResult result;
   std::vector<NodeProcessBase*> node_processes;
   SinkProcess* sink_ptr = nullptr;
   {
-    ScopedPhase phase(scoped.list, Phase::kNetworkWiring);
+    ScopedPhase phase(scoped.list, Phase::kNetworkWiring, result);
     // One process per graph node (pid == node id), plus the sink. The
     // pid map is filled up front because process constructors plan
     // against it.
@@ -487,7 +446,7 @@ StatusOr<EvaluationResult> RunScoped(const PreparedQuery& plan, Database& db,
 
   StatusOr<RunResult> run = InternalError("scheduler did not run");
   {
-    ScopedPhase phase(scoped.list, Phase::kRun);
+    ScopedPhase phase(scoped.list, Phase::kRun, result);
     SchedulerParams params;
     params.seed = options.seed;
     params.workers = options.workers;
@@ -496,10 +455,8 @@ StatusOr<EvaluationResult> RunScoped(const PreparedQuery& plan, Database& db,
   }
   if (!run.ok()) return run.status();
 
-  EvaluationResult result;
   {
-    // Closed before the profiler's Finalize so the report sees it.
-    ScopedPhase drain_phase(scoped.list, Phase::kDrain);
+    ScopedPhase drain_phase(scoped.list, Phase::kDrain, result);
     result.answers = sink_ptr->answers();
     result.ended_by_protocol = sink_ptr->done();
     result.quiescent_after = network->TotalPending() == 0;
@@ -515,38 +472,110 @@ StatusOr<EvaluationResult> RunScoped(const PreparedQuery& plan, Database& db,
       result.counters.Add(row.counters);
       result.node_counters.push_back(row);
     }
-    if (options.metrics != nullptr) {
-      DumpMetrics(*options.metrics, graph, result);
-    }
   }
   {
     // Freeing the processes' relations, join contexts and mailboxes is
     // a real share of the wall time on wide joins. The node process
-    // and sink pointers dangle from here on. Closed before the
-    // profiler's Finalize so the report sees it.
-    ScopedPhase teardown_phase(scoped.list, Phase::kTeardown);
+    // and sink pointers dangle from here on.
+    ScopedPhase teardown_phase(scoped.list, Phase::kTeardown, result);
     network.reset();
   }
   if (scoped.profiler.has_value()) {
     auto report = std::make_shared<ProfileReport>(scoped.profiler->Finalize());
     FillCostEstimates(graph, plan.cost_params(), *report);
-    if (options.metrics != nullptr) {
-      DumpProfileMetrics(*report, *options.metrics);
-    }
+    report->phase_ns.assign(result.phase_ns.begin(), result.phase_ns.end());
     result.profile = std::move(report);
   }
   if (scoped.lineage.has_value()) {
     result.lineage =
         std::make_shared<const LineageReport>(scoped.lineage->Finalize());
   }
-  if (!result.ended_by_protocol && !run->quiescent) {
-    return InternalError(
-        "evaluation stopped without protocol end or quiescence");
+  // Termination comes from the protocol (Thm. 3.1): a network that
+  // went quiet without the sink's `end` is an engine fault, not an
+  // answer.
+  if (!result.ended_by_protocol) {
+    return InternalError("evaluation stopped without the protocol's end");
   }
   return result;
 }
 
 }  // namespace
+
+void AppendSessionMetrics(const PreparedQuery& plan,
+                          const EvaluationResult& result,
+                          MetricsRegistry& registry) {
+  auto count = [&registry](const std::string& name, uint64_t value) {
+    registry.GetCounter(name).Increment(value);
+  };
+  const MessageStats& stats = result.message_stats;
+  for (size_t k = 0; k < stats.by_kind.size(); ++k) {
+    count(StrCat("msg/sent/", MessageKindToString(static_cast<MessageKind>(k))),
+          stats.by_kind[k]);
+  }
+  count("msg/segment_rows", stats.segment_rows);
+  count("msg/delivered", result.delivered);
+  count("node/fires", result.counters.fires);
+  for (const NodeCounters& row : result.node_counters) {
+    if (row.counters.fires == 0) continue;
+    count(StrCat("node/", row.node, "/fires"), row.counters.fires);
+  }
+  count("dedup/hits", result.counters.duplicate_drops);
+
+  // Each wave answer and work notice the protocol publishes goes out
+  // as exactly one message of its kind; waves and conclusions (the
+  // leader's own sends no message) are counted by the participants.
+  using Kind = TerminationEvent::Kind;
+  auto termination = [&count](Kind kind, uint64_t value) {
+    count(StrCat("termination/", TerminationEvent::KindToString(kind)), value);
+  };
+  termination(Kind::kWaveStarted, result.counters.protocol_waves);
+  termination(Kind::kAnswerNegative, stats.Count(MessageKind::kEndNegative));
+  termination(Kind::kAnswerConfirmed, stats.Count(MessageKind::kEndConfirmed));
+  termination(Kind::kConcluded, result.counters.conclusions);
+  termination(Kind::kWorkNotice, stats.Count(MessageKind::kWorkNotice));
+
+  for (size_t p = 0; p < result.phase_ns.size(); ++p) {
+    registry.GetHistogram(
+                StrCat("phase/", PhaseToString(static_cast<Phase>(p)), "/ns"))
+        .Record(result.phase_ns[p]);
+  }
+
+  count("engine/stored_tuples", result.counters.stored_tuples);
+  count("engine/duplicate_drops", result.counters.duplicate_drops);
+  count("engine/contexts", result.counters.contexts);
+  count("engine/max_node_relation", result.counters.max_node_relation);
+  count("engine/protocol_waves", result.counters.protocol_waves);
+  count("run/answers", result.answers.size());
+  count("run/delivered", result.delivered);
+  count("run/ended_by_protocol", result.ended_by_protocol ? 1 : 0);
+
+  const RuleGoalGraph& graph = plan.graph();
+  const PredicatePool& predicates = graph.program().predicates();
+  for (const NodeCounters& row : result.node_counters) {
+    const std::string& name =
+        predicates.Name(NodePredicate(graph.node(row.node)));
+    count(StrCat("predicate/", name, "/stored_tuples"),
+          row.counters.stored_tuples);
+    count(StrCat("predicate/", name, "/dedup_hits"),
+          row.counters.duplicate_drops);
+  }
+
+  if (result.profile == nullptr) return;
+  for (const NodeProfile& n : result.profile->nodes) {
+    std::string prefix = StrCat("aggregated/node/", n.node, "/");
+    count(StrCat(prefix, "fires"), n.fires);
+    count(StrCat(prefix, "tuples_in"), n.tuples_in);
+    count(StrCat(prefix, "tuples_out"), n.tuples_out);
+    count(StrCat(prefix, "dedup_hits"), n.dedup_hits);
+    count(StrCat(prefix, "msgs_in"), n.msgs_in);
+    count(StrCat(prefix, "msgs_out"), n.msgs_out);
+    count(StrCat(prefix, "segments_out"), n.segments_out);
+    count(StrCat(prefix, "segment_rows_out"), n.segment_rows_out);
+    count(StrCat(prefix, "batch_dedup_hits"), n.batch_dedup_hits);
+    count(StrCat(prefix, "fire_ns"), n.fire_ns);
+    count(StrCat(prefix, "queue_wait_ns"), n.queue_wait_ns);
+  }
+}
 
 StatusOr<EvaluationResult> RunSession(const PreparedQuery& plan,
                                       const SessionOptions& options,

@@ -7,21 +7,23 @@
 // Observability (see DESIGN.md § Observability): attach any number of
 // ExecutionObservers via SessionOptions::observers — e.g. a
 // TraceExporter for a chrome://tracing timeline, or a custom observer
-// for test assertions — and/or point SessionOptions::metrics at a
-// MetricsRegistry to collect named counters and histograms:
+// for test assertions. Named counters and histograms are a reduction
+// of the finished session's result (AppendSessionMetrics), not an
+// observer:
 //   TraceExporter trace;
-//   MetricsRegistry metrics;
 //   SessionOptions options;
 //   options.observers.push_back(&trace);
-//   options.metrics = &metrics;
 //   auto session = engine.CreateSession(plan, options);
 //   auto result = (*session)->Run();
 //   trace.WriteFile("trace.json");   // load in chrome://tracing
+//   MetricsRegistry metrics;
+//   AppendSessionMetrics(*plan, *result, metrics);
 //   std::cout << metrics.ToString();
 
 #ifndef MPQE_ENGINE_EVALUATOR_H_
 #define MPQE_ENGINE_EVALUATOR_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -91,16 +93,11 @@ struct SessionOptions {
   // for the callback set and threading contract.
   std::vector<ExecutionObserver*> observers;
 
-  // When set, the evaluation feeds this registry live (via an
-  // internal MetricsObserver) and dumps the end-of-run engine /
-  // per-predicate counters into it. Not owned.
-  MetricsRegistry* metrics = nullptr;
-
   // Attach a ProfilingObserver for the run and fill
   // EvaluationResult::profile with per-node / per-SCC attribution and
   // §4.3 cost estimates sized from the database (see obs/profiler.h).
-  // When `metrics` is also set, the per-node counters are additionally
-  // dumped as aggregated/node/<id>/<field> entries.
+  // AppendSessionMetrics then also writes the per-node counters as
+  // aggregated/node/<id>/<field> entries.
   bool profile = false;
 
   // Record derivation provenance: every tuple first inserted into any
@@ -193,6 +190,9 @@ struct EvaluationResult {
   GraphStats graph_stats;
   uint64_t delivered = 0;
 
+  // Wall time of each session phase, indexed by Phase.
+  std::array<uint64_t, static_cast<size_t>(Phase::kPhaseCount)> phase_ns{};
+
   // One row per graph node; `counters` is their sum. Use together
   // with RuleGoalGraph::NodeLabel to see where tuples accumulate.
   std::vector<NodeCounters> node_counters;
@@ -219,6 +219,22 @@ struct EvaluationResult {
 StatusOr<EvaluationResult> RunSession(const PreparedQuery& plan,
                                       const SessionOptions& options,
                                       const SessionWiring& wiring);
+
+/// Adds one finished session's metrics to `registry` (DESIGN.md §8), a
+/// pure function of the result:
+///   msg/sent/<kind>, msg/segment_rows   message_stats
+///   msg/delivered                       delivered
+///   node/fires, node/<id>/fires         node_counters
+///   dedup/hits                          counters.duplicate_drops
+///   termination/<event>                 protocol waves, conclusions and
+///                                       the protocol message counts
+///   phase/<name>/ns                     phase_ns (one sample each)
+///   engine/*, run/*, predicate/*        counters, answers, node_counters
+///   aggregated/node/<id>/<field>        profile, when the session profiled
+/// Counters add, so one registry can sum any number of sessions.
+void AppendSessionMetrics(const PreparedQuery& plan,
+                          const EvaluationResult& result,
+                          MetricsRegistry& registry);
 
 }  // namespace mpqe
 

@@ -30,6 +30,8 @@ void EngineCounters::Add(const EngineCounters& row) {
   contexts += row.contexts;
   max_node_relation = std::max(max_node_relation, row.max_node_relation);
   protocol_waves += row.protocol_waves;
+  conclusions += row.conclusions;
+  fires += row.fires;
 }
 
 std::string EngineCounters::ToString() const {
@@ -60,6 +62,7 @@ NodeRole NodeProcessBase::Role() const {
 }
 
 void NodeProcessBase::OnMessage(const Message& message) {
+  ++fires_;
   if (fault_park_armed_ && !IsProtocolMessage(message.kind)) {
     // Watchdog fault injection: wedge this node (and with it, its
     // SCC's progress) once, before handling its first work message.
@@ -183,6 +186,8 @@ void NodeProcessBase::FlushEmits() {
 
 void NodeProcessBase::AccumulateCounters(EngineCounters& out) const {
   out.protocol_waves += static_cast<uint64_t>(termination_.waves_started());
+  out.conclusions += termination_.conclusions();
+  out.fires += fires_;
 }
 
 void NodeProcessBase::PublishDerive(uint64_t id, DeriveKind kind,

@@ -53,6 +53,8 @@ struct EngineCounters {
   uint64_t contexts = 0;           // rule-node partial join results
   uint64_t max_node_relation = 0;  // largest single temporary relation
   uint64_t protocol_waves = 0;     // Fig. 2 waves initiated
+  uint64_t conclusions = 0;        // Fig. 2 conclusions (leader + members)
+  uint64_t fires = 0;              // messages handled
 
   /// Adds one node's row into these totals (sums; max for
   /// max_node_relation).
@@ -192,6 +194,7 @@ class NodeProcessBase : public Process, public TerminationOwner {
 
   std::vector<std::pair<ProcessId, Message>> outbox_;
   std::vector<OpenSegment> open_segments_;
+  uint64_t fires_ = 0;  // OnMessage calls
   // Per-firing observability scratch: tuples emitted during the
   // current OnMessage, counted only while observers are installed.
   uint32_t fire_tuples_out_ = 0;

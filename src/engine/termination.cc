@@ -126,6 +126,7 @@ void TerminationParticipant::OnEndRequest(const Message& m) {
 
 void TerminationParticipant::ConcludeAndBroadcast() {
   owner_->SnapshotForConclusion();
+  ++conclusions_;
   Publish(TerminationEvent::Kind::kConcluded);
   owner_->ConcludeScc();
   // Footnote 4: propagate the conclusion around the strong component —
@@ -138,6 +139,7 @@ void TerminationParticipant::ConcludeAndBroadcast() {
 void TerminationParticipant::OnSccConcluded(const Message& m) {
   (void)m;
   MPQE_CHECK(configured() && !is_leader_);
+  ++conclusions_;
   Publish(TerminationEvent::Kind::kConcluded);
   owner_->ConcludeScc();
   for (ProcessId child : bfst_children_) {

@@ -100,6 +100,9 @@ class TerminationParticipant {
   int64_t waves_started() const {
     return waves_started_.load(std::memory_order_relaxed);
   }
+  /// Protocol conclusions at this member: the leader's own plus each
+  /// `scc concluded` it received. Read after the run.
+  uint64_t conclusions() const { return conclusions_; }
 
   /// Snapshot of the protocol fields. Safe from any thread at any time
   /// (the fields are relaxed atomics with the owner process as the
@@ -160,6 +163,7 @@ class TerminationParticipant {
   std::atomic<bool> wave_active_{false};     // leader: wave in flight
   std::atomic<int64_t> wave_{0};
   std::atomic<int64_t> waves_started_{0};
+  uint64_t conclusions_ = 0;  // read only after the run, never live
 };
 
 }  // namespace mpqe

@@ -2,23 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 
 #include "common/string_util.h"
 
 namespace mpqe {
-
-namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Histogram
@@ -216,9 +204,7 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
   for (const auto& [name, histogram] : other.SortedHistograms()) {
     if (histogram->count() != 0) GetHistogram(name).MergeFrom(*histogram);
   }
-  // Gauges are levels, not deltas: summing per-session gauge values
-  // into an engine gauge would be meaningless. Engine-wide gauges are
-  // sampled by EngineTelemetry instead.
+  // Gauges are levels, not deltas: summing them would be meaningless.
 }
 
 std::string MetricsRegistry::ToString() const {
@@ -268,76 +254,6 @@ void MetricsRegistry::Clear() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
-}
-
-// ---------------------------------------------------------------------------
-// MetricsObserver
-// ---------------------------------------------------------------------------
-
-MetricsObserver::MetricsObserver(MetricsRegistry* registry)
-    : registry_(registry) {
-  for (size_t k = 0; k < sent_by_kind_.size(); ++k) {
-    sent_by_kind_[k] = &registry_->GetCounter(
-        StrCat("msg/sent/", MessageKindToString(static_cast<MessageKind>(k))));
-  }
-  for (size_t k = 0; k < termination_by_kind_.size(); ++k) {
-    termination_by_kind_[k] = &registry_->GetCounter(
-        StrCat("termination/", TerminationEvent::KindToString(
-                                   static_cast<TerminationEvent::Kind>(k))));
-  }
-  delivered_ = &registry_->GetCounter("msg/delivered");
-  fires_ = &registry_->GetCounter("node/fires");
-  dedup_hits_ = &registry_->GetCounter("dedup/hits");
-  segment_rows_sent_ = &registry_->GetCounter("msg/segment_rows");
-  handle_ns_ = &registry_->GetHistogram("msg/handle_ns");
-  tuples_out_ = &registry_->GetHistogram("fire/tuples_out");
-  segment_rows_ = &registry_->GetHistogram("msg/segment_rows_per_segment");
-}
-
-Counter& MetricsObserver::PerNodeFires(int32_t node) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = node_fires_.emplace(node, nullptr);
-  if (inserted) {
-    it->second = &registry_->GetCounter(StrCat("node/", node, "/fires"));
-  }
-  return *it->second;
-}
-
-void MetricsObserver::OnSend(const SendEvent& event) {
-  sent_by_kind_[static_cast<size_t>(event.message->kind)]->Increment();
-  if (event.message->kind == MessageKind::kTupleSegment) {
-    uint64_t rows = event.message->segment().num_rows;
-    segment_rows_sent_->Increment(rows);
-    segment_rows_->Record(rows);
-  }
-}
-
-void MetricsObserver::OnDeliver(const DeliverEvent& event) {
-  delivered_->Increment();
-  handle_ns_->Record(event.handle_ns);
-}
-
-void MetricsObserver::OnNodeFire(const NodeFireEvent& event) {
-  fires_->Increment();
-  dedup_hits_->Increment(event.dedup_hits);
-  tuples_out_->Record(event.tuples_out);
-  PerNodeFires(event.node).Increment();
-}
-
-void MetricsObserver::OnPhase(const PhaseEvent& event) {
-  size_t index = static_cast<size_t>(event.phase);
-  if (event.begin) {
-    phase_begin_ns_[index] = NowNs();
-    return;
-  }
-  uint64_t begin = phase_begin_ns_[index];
-  if (begin == 0) return;  // end without begin (defensive)
-  registry_->GetHistogram(StrCat("phase/", PhaseToString(event.phase), "/ns"))
-      .Record(NowNs() - begin);
-}
-
-void MetricsObserver::OnTermination(const TerminationEvent& event) {
-  termination_by_kind_[static_cast<size_t>(event.kind)]->Increment();
 }
 
 }  // namespace mpqe

@@ -1,10 +1,10 @@
 // Named metrics for evaluations: monotonic counters, level gauges and
 // log2-bucketed histograms, grouped in a MetricsRegistry. The registry
-// subsumes the ad-hoc EngineCounters / NodeCounters plumbing: the
-// evaluator (when SessionOptions::metrics is set) installs a
-// MetricsObserver that counts live events and, after the run, dumps
-// the per-node / per-predicate / per-kind breakdowns into the same
-// registry.
+// is a view, not a source: a session's counters are EngineCounters,
+// NodeCounters and MessageStats, which the network and the node
+// processes keep anyway, and AppendSessionMetrics (engine/evaluator.h)
+// reduces a finished session's result into a registry. The engine
+// registry (obs/telemetry.h) sums every session that way.
 //
 // Naming convention: '/'-separated paths, lowest-cardinality prefix
 // first — e.g. "msg/sent/tuple", "node/7/fires",
@@ -15,7 +15,7 @@
 // Thread safety: Counter::Increment, Gauge::Set/Add and
 // Histogram::Record are lock-free (relaxed atomics); Get*() takes a
 // registry mutex, so callers on hot paths should resolve references
-// once and cache them (MetricsObserver does).
+// once and cache them.
 //
 // Dump determinism: every dump (ToString, ToJson, CounterRows,
 // GaugeRows, HistogramNames — and the Prometheus exposition built on
@@ -29,14 +29,11 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-#include "obs/observer.h"
 
 namespace mpqe {
 
@@ -86,8 +83,7 @@ class Histogram {
   double mean() const;
 
   /// Adds every sample of `other` into this histogram (bucket-wise;
-  /// min/max/sum/count folded in). The engine-wide aggregation path:
-  /// session histograms merge into the engine registry on completion.
+  /// min/max/sum/count folded in).
   void MergeFrom(const Histogram& other);
 
   /// Upper-bound estimate of the p-th percentile (p in [0, 100]),
@@ -132,8 +128,7 @@ class MetricsRegistry {
   /// Folds `other` into this registry: counters add, histograms merge
   /// sample-by-bucket. Gauges are *levels*, not deltas — they are
   /// skipped (an engine-wide gauge is sampled, never summed from
-  /// per-session values). This is how EngineTelemetry aggregates a
-  /// completed session's registry into the engine-lifetime one.
+  /// per-session values).
   void MergeFrom(const MetricsRegistry& other);
 
   /// "name=value" per line for counters, then gauges, then one summary
@@ -160,54 +155,6 @@ class MetricsRegistry {
   std::unordered_map<std::string, std::unique_ptr<Counter>> counters_;
   std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms_;
-};
-
-// An ExecutionObserver that feeds a MetricsRegistry from live events:
-//   msg/sent/<kind>         sends per message kind
-//   msg/delivered           deliveries
-//   msg/handle_ns           histogram of per-message handling time
-//   node/fires              node firings (all nodes)
-//   node/<id>/fires         per-node firings
-//   fire/tuples_out         histogram of tuples emitted per firing
-//   dedup/hits              duplicate-elimination rejections
-//   phase/<name>/ns         histogram (single sample) per phase
-//   termination/<event>     protocol events per kind
-class MetricsObserver : public ExecutionObserver {
- public:
-  explicit MetricsObserver(MetricsRegistry* registry);
-
-  void OnSend(const SendEvent& event) override;
-  void OnDeliver(const DeliverEvent& event) override;
-  void OnNodeFire(const NodeFireEvent& event) override;
-  void OnPhase(const PhaseEvent& event) override;
-  void OnTermination(const TerminationEvent& event) override;
-
- private:
-  Counter& PerNodeFires(int32_t node);
-
-  MetricsRegistry* registry_;
-
-  // Cached hot-path handles (resolved once in the constructor).
-  std::array<Counter*, static_cast<size_t>(MessageKind::kMessageKindCount)>
-      sent_by_kind_{};
-  std::array<Counter*,
-             static_cast<size_t>(TerminationEvent::Kind::kKindCount)>
-      termination_by_kind_{};
-  Counter* delivered_ = nullptr;
-  Counter* fires_ = nullptr;
-  Counter* dedup_hits_ = nullptr;
-  Counter* segment_rows_sent_ = nullptr;
-  Histogram* handle_ns_ = nullptr;
-  Histogram* tuples_out_ = nullptr;
-  Histogram* segment_rows_ = nullptr;  // rows per emitted segment
-
-  // Per-node handles are created lazily under mutex_.
-  std::mutex mutex_;
-  std::map<int32_t, Counter*> node_fires_;
-
-  // Phase begin timestamps (phases are serialized; no lock needed).
-  std::array<uint64_t,
-             static_cast<size_t>(Phase::kPhaseCount)> phase_begin_ns_{};
 };
 
 }  // namespace mpqe

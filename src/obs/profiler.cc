@@ -82,9 +82,9 @@ double NodeProfile::RowsPerSegmentIn() const {
 }
 
 double NodeProfile::BatchDedupHitRate() const {
-  return batch_rows_in == 0 ? 0.0
-                            : static_cast<double>(batch_dedup_hits) /
-                                  static_cast<double>(batch_rows_in);
+  return tuples_in == 0 ? 0.0
+                        : static_cast<double>(batch_dedup_hits) /
+                              static_cast<double>(tuples_in);
 }
 
 double NodeProfile::Selectivity() const {
@@ -116,7 +116,7 @@ std::vector<int32_t> ProfileReport::DeviatingNodes(
 }
 
 std::string ProfileReport::ToJson() const {
-  std::string out = "{\n  \"schema\": \"mpqe-profile-v4\",\n";
+  std::string out = "{\n  \"schema\": \"mpqe-profile-v5\",\n";
   if (query_id != 0) out += StrCat("  \"query_id\": ", query_id, ",\n");
   out += "  \"totals\": {";
   out += StrCat("\"fires\": ", total_fires,
@@ -158,7 +158,6 @@ std::string ProfileReport::ToJson() const {
                   JsonDouble(n.RowsPerSegmentOut()),
                   ", \"rows_per_segment_in\": ",
                   JsonDouble(n.RowsPerSegmentIn()),
-                  ", \"batch_rows_in\": ", n.batch_rows_in,
                   ", \"batch_dedup_hits\": ", n.batch_dedup_hits,
                   ", \"batch_dedup_hit_rate\": ",
                   JsonDouble(n.BatchDedupHitRate()),
@@ -261,27 +260,11 @@ void ProfilingObserver::OnNodeFire(const NodeFireEvent& event) {
   s.tuples_out += event.tuples_out;
   s.dedup_hits += event.dedup_hits;
   if (event.trigger == MessageKind::kTupleSegment) {
-    // Segment arrivals: the rows (and the dedup hits their handling
-    // produced) that flow through the whole-segment absorb paths.
-    s.batch_rows_in += event.tuples_in;
+    // Segment arrivals: the dedup hits of the whole-segment absorb
+    // paths.
     s.batch_dedup_hits += event.dedup_hits;
   }
   s.fire_ns += event.handle_ns;
-}
-
-void ProfilingObserver::OnPhase(const PhaseEvent& event) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t index = static_cast<size_t>(event.phase);
-  size_t count = static_cast<size_t>(Phase::kPhaseCount);
-  if (phase_ns_.size() < count) {
-    phase_ns_.resize(count, 0);
-    phase_begin_ns_.resize(count, 0);
-  }
-  if (event.begin) {
-    phase_begin_ns_[index] = NowNs();
-  } else if (phase_begin_ns_[index] != 0) {
-    phase_ns_[index] += NowNs() - phase_begin_ns_[index];
-  }
 }
 
 void ProfilingObserver::OnTermination(const TerminationEvent& event) {
@@ -312,7 +295,6 @@ ProfileReport ProfilingObserver::Finalize() const {
   std::lock_guard<std::mutex> lock(mutex_);
   ProfileReport report;
   report.query_id = query_id_;
-  report.phase_ns = phase_ns_;
   report.phase_ns.resize(static_cast<size_t>(Phase::kPhaseCount), 0);
   report.total_msgs_sent = total_sends_;
   report.total_msgs_delivered = total_delivers_;
@@ -344,7 +326,6 @@ ProfileReport ProfilingObserver::Finalize() const {
     row.segments_out = s.segments_out;
     row.segment_rows_in = s.segment_rows_in;
     row.segment_rows_out = s.segment_rows_out;
-    row.batch_rows_in = s.batch_rows_in;
     row.batch_dedup_hits = s.batch_dedup_hits;
     row.fire_ns = s.fire_ns;
     row.queue_wait_ns = s.queue_wait_ns;

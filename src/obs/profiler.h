@@ -66,11 +66,9 @@ struct NodeProfile {
   uint64_t segments_out = 0;
   uint64_t segment_rows_in = 0;
   uint64_t segment_rows_out = 0;
-  // Rows that arrived in kTupleSegment fires (since every answer row
-  // travels in a segment, equal to tuples_in) and the dedup hits those
-  // firings produced — the traffic the vectorized batch kernels
-  // absorb, vs. dedup hits of request-driven joins.
-  uint64_t batch_rows_in = 0;
+  // Dedup hits of kTupleSegment fires — the traffic the vectorized
+  // batch kernels absorb, vs. dedup hits of request-driven joins. Every
+  // answer row arrives in a segment, so their rows are tuples_in.
   uint64_t batch_dedup_hits = 0;
   uint64_t fire_ns = 0;        // wall time inside message handling
   uint64_t queue_wait_ns = 0;  // send-to-delivery-start latency
@@ -82,7 +80,7 @@ struct NodeProfile {
   double RowsPerSegmentIn() const;
 
   /// Fraction of batch-delivered rows rejected by dedup:
-  /// batch_dedup_hits / batch_rows_in; 0 when no batches arrived.
+  /// batch_dedup_hits / tuples_in; 0 when no rows arrived.
   double BatchDedupHitRate() const;
 
   // §4.3 estimates (rule nodes; kNoEstimate elsewhere). The estimate
@@ -124,7 +122,9 @@ struct ProfileReport {
   // The engine-minted query id of the profiled session (0 = engine
   // telemetry off; then omitted from ToJson).
   uint64_t query_id = 0;
-  // Wall time per session phase, in Phase order (0 if unobserved).
+  // Wall time per session phase, in Phase order: the session's own
+  // phase clock (EvaluationResult::phase_ns); 0 for a report finalized
+  // outside a session.
   std::vector<uint64_t> phase_ns;
 
   // Whole-evaluation sums (include the sink's message traffic, which
@@ -143,7 +143,7 @@ struct ProfileReport {
   /// either direction.
   std::vector<int32_t> DeviatingNodes(double deviation_factor) const;
 
-  /// Machine-readable report ("mpqe-profile-v4"; validated by
+  /// Machine-readable report ("mpqe-profile-v5"; validated by
   /// scripts/check_trace.py --profile).
   std::string ToJson() const;
 };
@@ -165,7 +165,6 @@ class ProfilingObserver : public ExecutionObserver {
   void OnSend(const SendEvent& event) override;
   void OnDeliver(const DeliverEvent& event) override;
   void OnNodeFire(const NodeFireEvent& event) override;
-  void OnPhase(const PhaseEvent& event) override;
   void OnTermination(const TerminationEvent& event) override;
 
   /// Builds the report from everything observed so far. Estimate
@@ -187,7 +186,6 @@ class ProfilingObserver : public ExecutionObserver {
     uint64_t segments_out = 0;
     uint64_t segment_rows_in = 0;
     uint64_t segment_rows_out = 0;
-    uint64_t batch_rows_in = 0;
     uint64_t batch_dedup_hits = 0;
     uint64_t fire_ns = 0;
     uint64_t queue_wait_ns = 0;
@@ -216,8 +214,6 @@ class ProfilingObserver : public ExecutionObserver {
   // Termination-protocol events by participant pid; Finalize groups
   // them into SCCs via the attached graph.
   std::map<ProcessId, SccStats> term_by_pid_;
-  std::vector<uint64_t> phase_ns_;
-  std::vector<uint64_t> phase_begin_ns_;
   uint64_t total_sends_ = 0;
   uint64_t total_delivers_ = 0;
 

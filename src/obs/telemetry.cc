@@ -67,28 +67,8 @@ void EngineTelemetry::OnSessionStart() {
   registry_.GetGauge("engine/active_sessions").Add(1.0);
 }
 
-void EngineTelemetry::OnSessionComplete(
-    QueryLogEntry entry, const MetricsRegistry* session_metrics) {
+void EngineTelemetry::OnSessionComplete(QueryLogEntry entry) {
   registry_.GetGauge("engine/active_sessions").Add(-1.0);
-  if (session_metrics != nullptr) {
-    // Pull the query-log timing breakdown out of the session registry
-    // before it is folded in: fire time is the sum of per-message
-    // handling, queue wait only exists when the session profiled
-    // (aggregated/node/<id>/queue_wait_ns counters).
-    if (const Histogram* h = session_metrics->FindHistogram("msg/handle_ns")) {
-      entry.fire_ns = h->sum();
-    }
-    constexpr char kQueueWaitSuffix[] = "/queue_wait_ns";
-    constexpr size_t kSuffixLen = sizeof(kQueueWaitSuffix) - 1;
-    for (const auto& [name, value] : session_metrics->CounterRows()) {
-      if (name.size() >= kSuffixLen &&
-          name.compare(name.size() - kSuffixLen, kSuffixLen,
-                       kQueueWaitSuffix) == 0) {
-        entry.queue_wait_ns += value;
-      }
-    }
-    registry_.MergeFrom(*session_metrics);
-  }
   entry.slow =
       options_.slow_query_ns > 0 && entry.wall_ns > options_.slow_query_ns;
 

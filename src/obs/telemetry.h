@@ -1,18 +1,20 @@
 // Engine-wide telemetry (DESIGN.md §12): the always-on, engine-scoped
-// aggregation layer that every QuerySession reports into. Where the
-// per-evaluation MetricsRegistry of PRs 2/3 dies with its session,
-// EngineTelemetry outlives them all and is what the ops surface — the
-// Prometheus exposition (obs/prometheus.h), the /metrics and /queries
-// endpoints (engine/stats_server.h) and `mpqe_query --stats` — reads.
+// aggregation layer that every QuerySession reports into.
+// EngineTelemetry outlives the sessions and is what the ops surface —
+// the Prometheus exposition (obs/prometheus.h), the /metrics and
+// /queries endpoints (engine/stats_server.h) and `mpqe_query --stats`
+// — reads.
 //
 // Three pieces:
 //
-//  * an engine-lifetime MetricsRegistry. Counters and histograms from
-//    each completed session merge in (MetricsRegistry::MergeFrom);
-//    live *gauges* — active sessions, plan-cache size/hit-rate,
-//    worker-pool utilization — are written in place or refreshed by
-//    the sampler hook the Engine installs, which every scrape runs
-//    synchronously (SampleNow). Stalls are not gauges: the session
+//  * an engine-lifetime MetricsRegistry. Every completed session adds
+//    its counters and phase histograms straight in
+//    (AppendSessionMetrics, engine/evaluator.h: a reduction of the
+//    session's result, so no session is sampled out). Live *gauges*
+//    — active sessions, plan-cache size/hit-rate, worker-pool
+//    utilization — are written in place or refreshed by the sampler
+//    hook the Engine installs, which every scrape runs synchronously
+//    (SampleNow). Stalls are not gauges: the session
 //    watchdog's FlightDump (/debug/flight) carries their queue depths.
 //
 //  * a structured query log: a fixed-capacity ring buffer of
@@ -28,7 +30,7 @@
 //    (SessionStartEvent in obs/observer.h).
 //
 // Thread safety: the registry is internally synchronized; the ring and
-// the sampler hook are guarded by one telemetry mutex. RecordQueryDone
+// the sampler hook are guarded by one telemetry mutex. OnSessionComplete
 // and scrapes may run concurrently with sessions and with each other.
 
 #ifndef MPQE_OBS_TELEMETRY_H_
@@ -55,19 +57,6 @@ struct TelemetryOptions {
   // query log and counted under telemetry/slow_queries. 0 disables.
   uint64_t slow_query_ns = 100'000'000;  // 100 ms
 
-  // Deep per-session metrics (a MetricsObserver on the session's
-  // network: per-message counters, handle-time histograms, per-node
-  // fires) are collected for every Nth session and merged into the
-  // engine registry on completion. Observation disables the network's
-  // zero-observer fast path and costs real per-message time, so
-  // always-on collection would blow the <= 5% qps budget on
-  // message-heavy workloads; sampling keeps the cumulative families
-  // moving at bounded cost. 1 = every session (full fidelity — what
-  // the tests use), 0 = never. Sessions that bring their own registry
-  // (SessionOptions::metrics) are unaffected. The query log and the
-  // session-latency histogram still cover EVERY session.
-  uint32_t session_metrics_every = 16;
-
   Status Validate() const;
 };
 
@@ -83,8 +72,8 @@ struct QueryLogEntry {
   uint64_t rows_out = 0;
   uint64_t wall_ns = 0;
   // Cumulative scheduler-queue wait and in-handler time across the
-  // session's node processes (0 when the source metric was not
-  // collected — queue_wait_ns needs profiling).
+  // session's node processes: the profile's totals when the session
+  // profiled (SessionOptions::profile), 0 otherwise.
   uint64_t queue_wait_ns = 0;
   uint64_t fire_ns = 0;
   std::string status = "ok";  // "ok" or the failing Status code name
@@ -126,24 +115,11 @@ class EngineTelemetry {
   /// Session lifecycle: bumps the engine/active_sessions gauge.
   void OnSessionStart();
 
-  /// Whether the next own-metrics session should collect deep metrics
-  /// (every `session_metrics_every`th call returns true, starting with
-  /// the first). Sessions with a caller-supplied registry skip this.
-  bool ShouldSampleSessionMetrics() {
-    uint32_t every = options_.session_metrics_every;
-    if (every == 0) return false;
-    return sampled_sessions_.fetch_add(1, std::memory_order_relaxed) %
-               every ==
-           0;
-  }
-
-  /// Session completion: merges the session's registry (pass nullptr
-  /// when the session collected none), appends the query-log entry
-  /// (stamping `slow` from the threshold), and updates the engine
-  /// counters/histograms (telemetry/queries, telemetry/slow_queries,
+  /// Session completion: appends the query-log entry (stamping `slow`
+  /// from the threshold) and updates the engine counters/histograms
+  /// (telemetry/queries, telemetry/slow_queries,
   /// engine/query_wall_ns, engine/query_rows_out).
-  void OnSessionComplete(QueryLogEntry entry,
-                         const MetricsRegistry* session_metrics);
+  void OnSessionComplete(QueryLogEntry entry);
 
   /// Oldest-to-newest snapshot of the query log ring.
   std::vector<QueryLogEntry> QueryLog() const;
@@ -164,7 +140,6 @@ class EngineTelemetry {
   std::atomic<uint64_t> next_query_id_{1};
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> slow_{0};
-  std::atomic<uint64_t> sampled_sessions_{0};
 
   mutable std::mutex mutex_;  // ring + sampler hook
   std::deque<QueryLogEntry> ring_;

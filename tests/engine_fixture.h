@@ -3,7 +3,7 @@
 //
 // The engine runs with one pool worker, telemetry, the flight recorder
 // and the engine watchdog default off, so a session executes exactly
-// the caller's SessionOptions: no minted query id, no sampled metrics,
+// the caller's SessionOptions: no minted query id, no engine metrics,
 // no black-box observer. Attach moves the Database in; compute any
 // oracle over the same EDB (SemiNaiveBottomUp, magic sets) before
 // constructing the fixture.

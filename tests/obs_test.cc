@@ -119,11 +119,15 @@ void RunSessionMetrics(const char* text, const PlanOptions& plan_options,
                        MetricsRegistry& registry) {
   auto unit = Parse(text);
   ASSERT_TRUE(unit.ok()) << unit.status();
-  SessionOptions options;
-  options.metrics = &registry;
   EngineFixture fixture(std::move(unit->database));
-  auto result = fixture.Run(unit->program, plan_options, options);
+  auto plan = fixture.engine().Prepare(fixture.snapshot(), unit->program,
+                                       plan_options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto session = fixture.engine().CreateSession(*plan);
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto result = (*session)->Run();
   ASSERT_TRUE(result.ok()) << result.status();
+  AppendSessionMetrics(**plan, *result, registry);
 }
 
 // Every counter family, pinned exactly; the four session phases are
@@ -169,9 +173,8 @@ TEST(SessionMetricsTest, ReductionPinsEveryCounter) {
       {"termination/wave_started", 2}, {"termination/work_notice", 0},
   });
 
-  // Nonlinear TC over a 4-cycle: multi-member SCCs whose leaders
-  // conclude twice, so `concluded` (7) is not kSccConcluded sends (5)
-  // plus one.
+  // Nonlinear TC over a 4-cycle: `concluded` (7) also counts two
+  // leader conclusions, which send no kSccConcluded (5 sent).
   ExpectSessionMetrics(R"(
     e(1, 2). e(2, 3). e(3, 4). e(4, 1).
     tc(X, Y) :- e(X, Y).

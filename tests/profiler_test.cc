@@ -141,6 +141,8 @@ TEST(ProfilerTest, SessionMeasuresEveryPhase) {
   ASSERT_EQ(phase_ns.size(), static_cast<size_t>(Phase::kPhaseCount));
   for (size_t i = 0; i < phase_ns.size(); ++i) {
     EXPECT_GT(phase_ns[i], 0u) << PhaseToString(static_cast<Phase>(i));
+    // The profile copies the session's own phase clock.
+    EXPECT_EQ(phase_ns[i], result->phase_ns[i]);
   }
 }
 
@@ -218,8 +220,11 @@ TEST(ProfilerTest, JsonReportShape) {
   auto result = RunProfiled(SchedulerKind::kDeterministic);
   ASSERT_TRUE(result.ok());
   std::string json = result->profile->ToJson();
-  EXPECT_NE(json.find("\"schema\": \"mpqe-profile-v4\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"mpqe-profile-v5\""), std::string::npos);
   EXPECT_EQ(json.find("batch_envelopes"), std::string::npos);
+  // v5 dropped batch_rows_in, a copy of tuples_in.
+  EXPECT_EQ(json.find("batch_rows_in"), std::string::npos);
+  EXPECT_NE(json.find("\"batch_dedup_hit_rate\""), std::string::npos);
   EXPECT_NE(json.find("\"totals\""), std::string::npos);
   EXPECT_NE(json.find("\"nodes\""), std::string::npos);
   EXPECT_NE(json.find("\"sccs\""), std::string::npos);
@@ -281,13 +286,17 @@ TEST(ProfilerTest, ExplainPlanModes) {
 TEST(ProfilerTest, AggregatedMetricsDumpedPerNode) {
   auto unit = Parse(kTcShortcut);
   ASSERT_TRUE(unit.ok());
-  MetricsRegistry metrics;
   SessionOptions options;
   options.profile = true;
-  options.metrics = &metrics;
   EngineFixture fixture(std::move(unit->database));
-  auto result = fixture.Run(unit->program, {}, options);
-  ASSERT_TRUE(result.ok());
+  auto plan = fixture.engine().Prepare(fixture.snapshot(), unit->program);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  auto session = fixture.engine().CreateSession(*plan, options);
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto result = (*session)->Run();
+  ASSERT_TRUE(result.ok()) << result.status();
+  MetricsRegistry metrics;
+  AppendSessionMetrics(**plan, *result, metrics);
   std::string dump = metrics.ToString();
   EXPECT_NE(dump.find("aggregated/node/0/tuples_out=2"), std::string::npos);
   EXPECT_NE(dump.find("aggregated/node/2/dedup_hits=1"), std::string::npos);

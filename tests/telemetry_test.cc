@@ -289,7 +289,7 @@ TEST(TelemetryTest, QueryLogRingRetainsNewestAndCountsAll) {
     QueryLogEntry entry;
     entry.query_id = i;
     entry.wall_ns = i * 1000;
-    telemetry.OnSessionComplete(std::move(entry), nullptr);
+    telemetry.OnSessionComplete(std::move(entry));
   }
   EXPECT_EQ(telemetry.completed_queries(), 5u);
   auto log = telemetry.QueryLog();
@@ -305,11 +305,11 @@ TEST(TelemetryTest, SlowQueryThresholdFlagsAndCounts) {
   QueryLogEntry fast;
   fast.query_id = 1;
   fast.wall_ns = 999;
-  telemetry.OnSessionComplete(std::move(fast), nullptr);
+  telemetry.OnSessionComplete(std::move(fast));
   QueryLogEntry slow;
   slow.query_id = 2;
   slow.wall_ns = 5000;
-  telemetry.OnSessionComplete(std::move(slow), nullptr);
+  telemetry.OnSessionComplete(std::move(slow));
   EXPECT_EQ(telemetry.slow_queries(), 1u);
   auto log = telemetry.QueryLog();
   ASSERT_EQ(log.size(), 2u);
@@ -333,40 +333,22 @@ TEST(TelemetryTest, ConcurrentSessionCompletionsAndGaugeSampling) {
         telemetry.OnSessionStart();
         telemetry.SampleNow();
         const uint64_t query_id = telemetry.MintQueryId();
-        MetricsRegistry session;
-        session.GetCounter("msg/delivered").Increment(1);
         QueryLogEntry entry;
         entry.query_id = query_id;
         entry.wall_ns = static_cast<uint64_t>(t * 1000 + i);
-        telemetry.OnSessionComplete(std::move(entry), &session);
+        telemetry.OnSessionComplete(std::move(entry));
       }
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(telemetry.completed_queries(),
             static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(telemetry.registry().GetCounter("msg/delivered").value(),
+  EXPECT_EQ(telemetry.registry().GetCounter("telemetry/queries").value(),
             static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_DOUBLE_EQ(
       telemetry.registry().GetGauge("engine/active_sessions").value(), 0.0);
   EXPECT_DOUBLE_EQ(telemetry.registry().GetGauge("engine/workers").value(),
                    4.0);
-}
-
-TEST(TelemetryTest, QueueWaitAggregatesFromSessionRegistry) {
-  // The query-log queue_wait_ns breakdown sums the profiler's per-node
-  // aggregated counters when the session collected them.
-  EngineTelemetry telemetry;
-  MetricsRegistry session;
-  session.GetCounter("aggregated/node/0/queue_wait_ns").Increment(100);
-  session.GetCounter("aggregated/node/3/queue_wait_ns").Increment(250);
-  session.GetCounter("aggregated/node/0/fire_ns").Increment(999);  // ignored
-  QueryLogEntry entry;
-  entry.query_id = 1;
-  telemetry.OnSessionComplete(std::move(entry), &session);
-  auto log = telemetry.QueryLog();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].queue_wait_ns, 350u);
 }
 
 // ---------------------------------------------------------------------------
@@ -377,8 +359,6 @@ TEST(TelemetryTest, SessionsAggregateIntoEngineRegistryAndQueryLog) {
   ASSERT_TRUE(facts.ok()) << facts.status();
   EngineOptions engine_options;
   engine_options.workers = 4;
-  // Full fidelity: every session collects and merges deep metrics.
-  engine_options.telemetry_options.session_metrics_every = 1;
   Engine engine(engine_options);
   auto snapshot = engine.Attach(std::move(facts->database));
   auto plan = engine.Prepare(snapshot, kTcRules);
@@ -397,7 +377,7 @@ TEST(TelemetryTest, SessionsAggregateIntoEngineRegistryAndQueryLog) {
   ASSERT_NE(engine.telemetry(), nullptr);
   EngineTelemetry& telemetry = *engine.telemetry();
   EXPECT_EQ(telemetry.completed_queries(), static_cast<uint64_t>(kSessions));
-  // Deep per-message metrics merged from every session.
+  // Per-message counters from every session.
   EXPECT_GT(telemetry.registry().GetCounter("msg/delivered").value(), 0u);
   EXPECT_GT(telemetry.registry().GetCounter("node/fires").value(), 0u);
   EXPECT_EQ(
@@ -423,6 +403,59 @@ TEST(TelemetryTest, SessionsAggregateIntoEngineRegistryAndQueryLog) {
   EXPECT_EQ(reused, kSessions - 1);  // every session after the plan's first
 }
 
+TEST(TelemetryTest, EverySessionFeedsEngineMetricsAndQueryLog) {
+  // Default TelemetryOptions: every completed session lands in the
+  // engine registry, and a profiled session's query-log entry carries
+  // the profile's fire and queue-wait totals.
+  auto facts = Parse(kTcFacts);
+  ASSERT_TRUE(facts.ok()) << facts.status();
+  EngineOptions engine_options;
+  engine_options.workers = 4;
+  Engine engine(engine_options);
+  auto snapshot = engine.Attach(std::move(facts->database));
+  auto plan = engine.Prepare(snapshot, kTcRules);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  constexpr int kSessions = 8;
+  SessionOptions profiled;
+  profiled.profile = true;
+  std::vector<std::future<StatusOr<EvaluationResult>>> futures;
+  for (int i = 0; i < kSessions; ++i) {
+    futures.push_back(engine.RunAsync(
+        *plan, i == kSessions - 1 ? profiled : SessionOptions{}));
+  }
+  uint64_t delivered = 0;
+  std::shared_ptr<const ProfileReport> profile;
+  for (auto& future : futures) {
+    auto result = future.get();
+    ASSERT_TRUE(result.ok()) << result.status();
+    delivered += result->delivered;
+    if (result->profile != nullptr) profile = result->profile;
+  }
+  ASSERT_NE(profile, nullptr);
+
+  MetricsRegistry& registry = engine.telemetry()->registry();
+  EXPECT_EQ(registry.GetCounter("msg/delivered").value(), delivered);
+  EXPECT_EQ(registry.GetHistogram("phase/run/ns").count(),
+            static_cast<uint64_t>(kSessions));
+
+  auto log = engine.telemetry()->QueryLog();
+  ASSERT_EQ(log.size(), static_cast<size_t>(kSessions));
+  int profiled_entries = 0;
+  for (const QueryLogEntry& entry : log) {
+    if (entry.query_id != profile->query_id) {
+      EXPECT_EQ(entry.fire_ns, 0u);
+      EXPECT_EQ(entry.queue_wait_ns, 0u);
+      continue;
+    }
+    ++profiled_entries;
+    EXPECT_GT(profile->total_fire_ns, 0u);
+    EXPECT_EQ(entry.fire_ns, profile->total_fire_ns);
+    EXPECT_EQ(entry.queue_wait_ns, profile->total_queue_wait_ns);
+  }
+  EXPECT_EQ(profiled_entries, 1);
+}
+
 TEST(TelemetryTest, EngineDestructionWithPendingAsyncSessions) {
   // ~Engine must drain and join the pool BEFORE destroying telemetry:
   // queued RunAsync sessions hold the raw EngineTelemetry* stamped at
@@ -434,7 +467,6 @@ TEST(TelemetryTest, EngineDestructionWithPendingAsyncSessions) {
   {
     EngineOptions engine_options;
     engine_options.workers = 2;
-    engine_options.telemetry_options.session_metrics_every = 1;
     Engine engine(engine_options);
     auto snapshot = engine.Attach(std::move(facts->database));
     auto plan = engine.Prepare(snapshot, kTcRules);
@@ -446,25 +478,6 @@ TEST(TelemetryTest, EngineDestructionWithPendingAsyncSessions) {
     auto result = future.get();
     EXPECT_TRUE(result.ok()) << result.status();
   }
-}
-
-TEST(TelemetryTest, SamplingEveryZeroSkipsDeepMetricsButLogsQueries) {
-  auto facts = Parse(kTcFacts);
-  ASSERT_TRUE(facts.ok()) << facts.status();
-  EngineOptions engine_options;
-  engine_options.workers = 2;
-  engine_options.telemetry_options.session_metrics_every = 0;
-  Engine engine(engine_options);
-  auto snapshot = engine.Attach(std::move(facts->database));
-  auto plan = engine.Prepare(snapshot, kTcRules);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  auto result = engine.RunAsync(*plan).get();
-  ASSERT_TRUE(result.ok()) << result.status();
-
-  EngineTelemetry& telemetry = *engine.telemetry();
-  EXPECT_EQ(telemetry.completed_queries(), 1u);
-  // Pre-registered at zero, never merged into.
-  EXPECT_EQ(telemetry.registry().GetCounter("msg/delivered").value(), 0u);
 }
 
 TEST(TelemetryTest, PlanCacheCountersSurfaceInTelemetry) {
@@ -516,7 +529,6 @@ TEST(TelemetryTest, StatsServerServesMetricsQueriesAndHealth) {
   EngineOptions engine_options;
   engine_options.workers = 2;
   engine_options.stats_port = 0;  // ephemeral
-  engine_options.telemetry_options.session_metrics_every = 1;
   Engine engine(engine_options);
   ASSERT_TRUE(engine.stats_server_status().ok())
       << engine.stats_server_status();
@@ -556,7 +568,6 @@ TEST(TelemetryTest, ScrapesConcurrentWithSessions) {
   EngineOptions engine_options;
   engine_options.workers = 4;
   engine_options.stats_port = 0;
-  engine_options.telemetry_options.session_metrics_every = 1;
   Engine engine(engine_options);
   ASSERT_TRUE(engine.stats_server_status().ok());
   auto snapshot = engine.Attach(std::move(facts->database));
